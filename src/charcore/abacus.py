@@ -9,6 +9,13 @@ stores the finite window together with the absolute index of its first symbol.
 Hooks of the partition are exactly the index pairs (i, i + t) whose beads read
 (0, 1); swapping the two beads removes the corresponding border strip.  All
 values here are immutable and every operation returns a fresh abacus.
+
+The hot paths work on the window as one integer, its bead mask: bit i is the
+bead at window index i (`bead_mask`).  The starts of the hooks of length t
+are then the set bits of `(w >> t) & ~w`, a hook's height is the bit count of
+the beads strictly between its two ends, a strip is removed by XOR-ing its two
+bits, and the window is made canonical again by shifting off the low run of
+1s (`strip_removals`).  `mask_partition` reads the partition back.
 """
 
 from __future__ import annotations
@@ -106,44 +113,61 @@ def to_partition(a: Abacus) -> Partition:
     return tuple(parts)
 
 
-def iter_hook_positions(word, t: int):
-    """Yield (window index, height) for every hook of length t in the window."""
-    n = len(word)
-    for i in range(n - t):
-        if word[i] == 0 and word[i + t] == 1:
-            yield i, sum(word[i + 1 : i + t])
+def bead_mask(a: Abacus) -> int:
+    """The window as an integer: bit i is the bead at window index i."""
+    return sum(b << i for i, b in enumerate(a.word))
+
+
+def mask_partition(w: int) -> Partition:
+    """The partition of a bead mask: each 1 is a part, the number of 0s below it."""
+    parts: list[int] = []
+    while w:
+        low = w & -w
+        parts.append(low.bit_length() - 1 - len(parts))
+        w ^= low
+    return tuple(p for p in reversed(parts) if p)
+
+
+def strip_removals(w: int, t: int) -> list[tuple[int, int, int]]:
+    """Every hook of length t of the bead mask w, by increasing start index.
+
+    Each entry is (start, height, smaller): the window index of the hook's 0
+    bead, the number of 1s strictly between its two ends, and the canonical
+    mask left once the strip is removed (the pair swapped, the low run of 1s
+    shifted off).
+    """
+    out = []
+    starts = (w >> t) & ~w
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        height = (w & ((low << t) - (low << 1))).bit_count()
+        v = w ^ low ^ (low << t)
+        v >>= (v ^ (v + 1)).bit_length() - 1
+        out.append((low.bit_length() - 1, height, v))
+    return out
 
 
 def hooks_of_length(a: Abacus, t: int) -> list[Hook]:
     """All hooks of length t, with heights; empty iff the partition is a t-core."""
     if t < 1:
         raise ValueError("hook length must be positive")
-    return [Hook(a.offset + i, t, h) for i, h in iter_hook_positions(a.word, t)]
+    return [Hook(a.offset + i, t, h) for i, h, _ in strip_removals(bead_mask(a), t)]
 
 
 def is_tcore(parts, t: int) -> bool:
     """True iff no box of the diagram has hook length t."""
     if t < 1:
         raise ValueError("t must be positive")
-    word = from_partition(parts).word
-    return not any(
-        word[i] == 0 and word[i + t] == 1 for i in range(len(word) - t)
-    )
+    w = bead_mask(from_partition(parts))
+    return not (w >> t) & ~w
 
 
 @lru_cache(maxsize=None)
 def hook_length_mask(parts: Partition) -> int:
     """Bitmask with bit t set iff the partition has a hook of length t."""
-    word = from_partition(parts).word
-    mask = 0
-    zeros = [i for i, b in enumerate(word) if b == 0]
-    for j, b in enumerate(word):
-        if b == 1:
-            for i in zeros:
-                if i >= j:
-                    break
-                mask |= 1 << (j - i)
-    return mask
+    w = bead_mask(from_partition(parts))
+    return sum(1 << t for t in range(1, w.bit_length()) if (w >> t) & ~w)
 
 
 def swap(a: Abacus, i: int, j: int) -> Abacus:
@@ -232,10 +256,6 @@ def aligned_windows(a: Abacus, a2: Abacus, m: int) -> tuple[list[int], list[int]
     full1 = list(w1) + [0] * (width - len(w1))
     full2 = [1] * shift + list(w2) + [0] * (width - shift - len(w2))
     return full1, full2
-
-
-def _residue_partitions(word, m: int) -> list[Partition]:
-    return [to_partition(canonicalize(word[c::m])) for c in range(m)]
 
 
 def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int]]:

@@ -1,7 +1,8 @@
 """Exact irreducible character values by iterated border-strip removal.
 
 The recursion consumes the cycle type largest part first; each step sums over
-the hooks of that length with sign (-1)^height.  Values are plain Python
+the hooks of that length with sign (-1)^height.  Rows are bead masks (see
+`abacus.bead_mask`), encoded once per row and size.  Values are plain Python
 integers, so no precision is ever lost.
 """
 
@@ -10,10 +11,11 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
-from typing import IO, Iterable
+from typing import IO
 
-from .abacus import from_partition, iter_hook_positions, trim_word
+from .abacus import bead_mask, from_partition, strip_removals
 from .errors import SizeCapError
 from .partitions import (
     Partition,
@@ -25,6 +27,8 @@ from .partitions import (
 from .tableaux import count_syt
 
 TABLE_CAP = 26
+# chi recurses once per part of mu; this keeps the depth far from Python's limit
+CHI_CAP = 500
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -37,41 +41,41 @@ def chi(lam, mu) -> int:
             f"lambda and mu must partition the same integer, "
             f"got {sum(lam)} and {sum(mu)}"
         )
-    return _chi_word(from_partition(lam).word, mu, 0, {})
+    if sum(mu) > CHI_CAP:
+        raise SizeCapError(f"chi capped at n <= {CHI_CAP}, got {sum(mu)}")
+    return _chi_mask(bead_mask(from_partition(lam)), mu, 0, [{} for _ in mu])
 
 
-def _chi_word(word, mu, idx, memo) -> int:
+def _chi_mask(w: int, mu: Partition, idx: int, memo: list[dict]) -> int:
+    """chi of the row with bead mask w on mu[idx:]; memo[idx] maps w to it."""
     if idx == len(mu):
         return 1
-    t = mu[idx]
-    # the largest hook of a canonical window spans it end to end
-    if t > len(word) - 1:
-        return 0
-    key = (word, idx)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    total = 0
-    for i, height in iter_hook_positions(word, t):
-        w = list(word)
-        w[i], w[i + t] = 1, 0
-        sub = _chi_word(trim_word(w), mu, idx + 1, memo)
-        total += -sub if height & 1 else sub
-    memo[key] = total
-    return total
+    seen = memo[idx]
+    value = seen.get(w)
+    if value is None:
+        value = 0
+        for _, height, smaller in strip_removals(w, mu[idx]):
+            sub = _chi_mask(smaller, mu, idx + 1, memo)
+            value += -sub if height & 1 else sub
+        seen[w] = value
+    return value
 
 
-def chi_column(mu, rows: Iterable[Partition] | None = None) -> list[int]:
-    """Character values of every row on the single class `mu`.
+@lru_cache(maxsize=None)
+def _row_masks(n: int) -> tuple[int, ...]:
+    """Bead masks of every row of size n in table order, encoded once."""
+    return tuple(bead_mask(from_partition(lam)) for lam in partitions_of(n))
+
+
+def chi_column(mu) -> list[int]:
+    """Character values of every row, in reverse-lex order, on the class `mu`.
 
     One memo table is shared across rows, so a full column costs little more
     than its hardest entry.
     """
     mu = check_partition(mu)
-    if rows is None:
-        rows = partitions_of(sum(mu))
-    memo: dict = {}
-    return [_chi_word(from_partition(lam).word, mu, 0, memo) for lam in rows]
+    memo: list[dict] = [{} for _ in mu]
+    return [_chi_mask(w, mu, 0, memo) for w in _row_masks(sum(mu))]
 
 
 def degree(lam) -> int:
@@ -95,15 +99,6 @@ class CharacterTable:
     partitions: tuple[Partition, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def value(self, lam, mu) -> int:
-        i = self.partitions.index(check_partition(lam))
-        j = self.partitions.index(check_partition(mu))
-        return self.rows[i][j]
-
-
-def _column_task(mu: Partition) -> list[int]:
-    return chi_column(mu)
-
 
 def build_table(n: int, threads: int = 1, cap: int = TABLE_CAP) -> CharacterTable:
     """Compute the full character table, one class column at a time.
@@ -119,13 +114,10 @@ def build_table(n: int, threads: int = 1, cap: int = TABLE_CAP) -> CharacterTabl
     if threads > 1 and len(parts) >= 8:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, len(parts) // (threads * 8))
-            columns = list(pool.map(_column_task, parts, chunksize=chunk))
+            columns = list(pool.map(chi_column, parts, chunksize=chunk))
     else:
         columns = [chi_column(mu) for mu in parts]
-    rows = tuple(
-        tuple(columns[j][i] for j in range(len(parts))) for i in range(len(parts))
-    )
-    return CharacterTable(n, parts, rows)
+    return CharacterTable(n, parts, tuple(zip(*columns)))
 
 
 def verify_orthogonality(table: CharacterTable):

@@ -2,8 +2,10 @@
 
 Subcommands: chi, table, reduce, core, sample, verify, stats.  Exit codes:
 0 on success (and zero violations), 1 when a verifier finds violations,
-2 on usage errors.  Output is byte-identical for identical arguments and
-independent of the worker count.
+2 on usage errors.  A reader that closes stdout early ends the run quietly
+with 0.  `--out` is written to a temporary file that replaces the target only
+when the command completes.  Output is byte-identical for identical arguments
+and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ import mpmath
 from . import characters, divisibility, stats
 from .abacus import is_tcore, tcore
 from .divisibility import CombineConfig
-from .errors import FormatError, RangeError, SizeCapError, UnreachableError
+from .errors import FormatError
 from .partitions import format_partition, parse_partition, sample_uniform
 
 
-def _default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
+def _threads(args) -> int:
+    """The --threads value, defaulting to the CPU count."""
+    if args.threads is None:
+        return max(1, os.cpu_count() or 1)
+    if args.threads < 1:
+        raise FormatError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
 
 
 def _dump_json(obj, out) -> None:
@@ -163,8 +170,7 @@ def _cmd_chi(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
-    table = characters.build_table(args.n, threads=threads)
+    table = characters.build_table(args.n, threads=_threads(args))
     if args.format == "csv":
         characters.write_table_csv(table, out)
     elif args.format == "json":
@@ -202,6 +208,8 @@ def _cmd_core(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
+    if args.count < 0:
+        raise FormatError(f"--count must be at least 0, got {args.count}")
     for i in range(args.count):
         out.write(format_partition(sample_uniform(args.n, args.seed + i)) + "\n")
     return 0
@@ -241,8 +249,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_stats(args, out) -> int:
     if args.stat == "density":
-        threads = args.threads if args.threads is not None else _default_threads()
-        rep = stats.density_report(args.n, args.mod, threads=threads)
+        rep = stats.density_report(args.n, args.mod, threads=_threads(args))
         d = rep.as_dict()
         if args.format == "csv":
             keys = list(d)
@@ -305,44 +312,47 @@ def _cmd_stats(args, out) -> int:
     raise FormatError(f"unknown stats subcommand {args.stat!r}")
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
-    close = False
-    target = getattr(args, "out", None)
-    if target:
-        out = open(target, "w")
-        close = True
+_COMMANDS = {
+    "chi": _cmd_chi,
+    "table": _cmd_table,
+    "reduce": _cmd_reduce,
+    "core": _cmd_core,
+    "sample": _cmd_sample,
+    "verify": _cmd_verify,
+    "stats": _cmd_stats,
+}
+
+
+def _run_to_file(command, args, target: str) -> int:
+    """Run into a temporary file beside `target`; replace `target` on success."""
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        if args.command == "chi":
-            return _cmd_chi(args, out)
-        if args.command == "table":
-            return _cmd_table(args, out)
-        if args.command == "reduce":
-            return _cmd_reduce(args, out)
-        if args.command == "core":
-            return _cmd_core(args, out)
-        if args.command == "sample":
-            return _cmd_sample(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "stats":
-            return _cmd_stats(args, out)
-        parser.error(f"unknown command {args.command!r}")
-        return 2
-    except (
-        FormatError,
-        SizeCapError,
-        UnreachableError,
-        RangeError,
-        ValueError,
-    ) as exc:
+        with open(tmp, "x") as out:
+            rc = command(args, out)
+        os.replace(tmp, target)
+        return rc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
+    try:
+        target = getattr(args, "out", None)
+        if target:
+            return _run_to_file(command, args, target)
+        rc = command(args, sys.stdout)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (ValueError, OSError) as exc:  # every charcore error is a ValueError
         print(f"charcore: error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if close:
-            out.close()
 
 
 if __name__ == "__main__":

@@ -16,12 +16,13 @@ from typing import Iterable, Sequence
 
 from .abacus import (
     aligned_windows,
-    canonicalize,
+    bead_mask,
     from_partition,
     hook_length_mask,
     is_tcore,
+    mask_partition,
     skew_per_residue,
-    to_partition,
+    strip_removals,
 )
 from .characters import chi, chi_column
 from .errors import SizeCapError, UnreachableError
@@ -212,7 +213,7 @@ def verify_combine_congruence(
 
     def column(mu: Partition) -> list[int]:
         if mu not in columns:
-            columns[mu] = chi_column(mu, rows)
+            columns[mu] = chi_column(mu)
         return columns[mu]
 
     for mu in rows:
@@ -268,12 +269,12 @@ def enumerate_hook_sequences(
         raise ValueError(
             f"cannot remove {count} hooks of length {m} from a partition of {sum(lam)}"
         )
-    word = list(from_partition(lam).word)
     groups: dict[Partition, list[HookSequence]] = {}
     starts: list[int] = []
     total = 0
 
-    def dfs(depth: int, parity: int) -> None:
+    def dfs(w: int, shift: int, depth: int, parity: int) -> None:
+        # `shift` is the index in the initial window of bit 0 of the trimmed mask w
         nonlocal total
         if depth == count:
             total += 1
@@ -281,82 +282,54 @@ def enumerate_hook_sequences(
                 raise SizeCapError(
                     f"more than {max_sequences} hook sequences; raise the cap"
                 )
-            result = to_partition(canonicalize(word))
+            result = mask_partition(w)
             seq = HookSequence(
                 m, tuple(starts), result, -1 if parity else 1
             )
             groups.setdefault(result, []).append(seq)
             return
-        for i in range(len(word) - m):
-            if word[i] == 0 and word[i + m] == 1:
-                height = sum(word[i + 1 : i + m])
-                word[i], word[i + m] = 1, 0
-                starts.append(i)
-                dfs(depth + 1, parity ^ (height & 1))
-                starts.pop()
-                word[i], word[i + m] = 0, 1
+        for i, height, smaller in strip_removals(w, m):
+            starts.append(shift + i)
+            # trimming shifted off as many beads as the mask lost
+            trimmed = w.bit_count() - smaller.bit_count()
+            dfs(smaller, shift + trimmed, depth + 1, parity ^ (height & 1))
+            starts.pop()
 
-    dfs(0, 0)
+    dfs(bead_mask(from_partition(lam)), 0, 0, 0)
     return groups
 
 
 def epsilon(lam, lam2, m: int) -> int:
     """Common sign of every hook sequence of length m from lam down to lam2.
 
-    Computed from one greedy witness; raises UnreachableError when no such
-    sequence exists.
+    Removing a hook moves one bead m places down, past `height` beads, and
+    keeps its rank among the beads of its residue mod m.  So the heights sum,
+    mod 2, to the change in the number of bead pairs that index order and
+    residue order rank differently.  Raises UnreachableError when no sequence
+    exists.
     """
     lam = check_partition(lam)
     lam2 = check_partition(lam2)
     diff = sum(lam) - sum(lam2)
-    if diff == 0:
-        if lam != lam2:
-            raise UnreachableError(f"{lam2} is not reachable from {lam}")
-        return 1
     if diff < 0 or diff % m:
         raise UnreachableError(
-            f"size difference {diff} is not a positive multiple of {m}"
+            f"size difference {diff} is not a non-negative multiple of {m}"
         )
-    current, target = aligned_windows(from_partition(lam), from_partition(lam2), m)
+    windows = aligned_windows(from_partition(lam), from_partition(lam2), m)
     for c in range(m):
-        sub_cur, sub_tgt = current[c::m], target[c::m]
-        if sum(sub_cur) != sum(sub_tgt):
-            raise UnreachableError(f"residue {c} bead counts differ")
-        if not _contains(sub_cur, sub_tgt):
-            raise UnreachableError(f"residue {c} diagram is not contained")
+        # reachable iff each residue keeps its bead count and no bead of lam2
+        # sits above the bead of the same rank in lam
+        beads, beads2 = ([i for i, b in enumerate(w[c::m]) if b] for w in windows)
+        if len(beads) != len(beads2) or any(y > x for x, y in zip(beads, beads2)):
+            raise UnreachableError(f"{lam2} is not reachable from {lam} by {m}-hooks")
     parity = 0
-    for _ in range(diff // m):
-        i = _next_removal(current, target, m)
-        parity ^= sum(current[i + 1 : i + m]) & 1
-        current[i], current[i + m] = 1, 0
+    for word in windows:
+        below = [0] * m  # beads seen so far, per residue
+        for i, bead in enumerate(word):
+            if bead:
+                parity ^= sum(below[i % m + 1 :]) & 1
+                below[i % m] += 1
     return -1 if parity else 1
-
-
-def _partition_of_window(word) -> Partition:
-    return to_partition(canonicalize(word))
-
-
-def _contains(word_big, word_small) -> bool:
-    big = _partition_of_window(word_big)
-    small = _partition_of_window(word_small)
-    return len(small) <= len(big) and all(
-        t <= big[i] for i, t in enumerate(small)
-    )
-
-
-def _next_removal(current, target, m: int) -> int:
-    """Pick any swap position that keeps the target reachable."""
-    for c in range(m):
-        sub_cur, sub_tgt = current[c::m], target[c::m]
-        if sub_cur == sub_tgt:
-            continue
-        for l in range(len(sub_cur) - 1):
-            if sub_cur[l] == 0 and sub_cur[l + 1] == 1:
-                trial = list(sub_cur)
-                trial[l], trial[l + 1] = 1, 0
-                if _contains(trial, sub_tgt):
-                    return c + l * m
-    raise UnreachableError("no admissible removal found")
 
 
 @dataclass(frozen=True)
@@ -412,7 +385,7 @@ def verify_count_factorization(lam, lam2, m: int) -> FactorizationCheck:
 def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
     """Sign constancy: within every group of sequences, all signs agree.
 
-    Also cross-checks the greedy witness sign against each group.
+    Also cross-checks the sign `epsilon` computes against each group.
     """
     report = VerifyReport("lemma61", {"n": n, "m": m, "max_hooks": max_hooks})
     for lam in partitions_of(n):
@@ -625,7 +598,7 @@ def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
                 report.skipped += 1
                 continue
             if column is None:
-                column = chi_column(mu, rows)
+                column = chi_column(mu)
             report.check(
                 column[i] % cfg.q == 0,
                 {

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from charcore.abacus import (
     Abacus,
     aligned_windows,
+    bead_mask,
     canonicalize,
     from_partition,
     hook_length_mask,
@@ -14,6 +15,7 @@ from charcore.abacus import (
     quotient,
     remove_border_strip,
     skew_per_residue,
+    strip_removals,
     swap,
     tcore,
     to_partition,
@@ -27,6 +29,20 @@ partition_lists = st.lists(st.integers(1, 9), max_size=9).map(
 )
 
 WORKED = (6, 5, 3, 1, 1, 1)
+
+
+def diagram_hook_lengths(lam):
+    """Hook length of every box, straight from the diagram: arm + leg + 1."""
+    cols = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
+    return {
+        (lam[r] - c - 1) + (cols[c] - r - 1) + 1
+        for r in range(len(lam))
+        for c in range(lam[r])
+    }
+
+
+def partition_of_mask(w):
+    return to_partition(Abacus(tuple((w >> i) & 1 for i in range(w.bit_length()))))
 
 
 class TestEncoding:
@@ -117,6 +133,43 @@ class TestHooks:
                 a = from_partition(lam)
                 for t in range(1, n + 2):
                     assert bool((mask >> t) & 1) == bool(hooks_of_length(a, t))
+
+
+class TestBeadMask:
+    def test_worked_example(self):
+        # word 011100100101, bit 0 first
+        assert bead_mask(from_partition(WORKED)) == 0b101001001110
+        assert bead_mask(from_partition(())) == 0
+
+    def test_mask_of_any_window(self):
+        a = Abacus((1, 0, 1, 1, 0), 3)
+        assert bead_mask(a) == 0b01101
+        assert [(h.start, h.height) for h in hooks_of_length(a, 2)] == [(4, 1)]
+
+    def test_removals_match_diagram_walk(self):
+        for n in range(11):
+            for lam in partitions_of(n):
+                w = bead_mask(from_partition(lam))
+                for t in range(1, n + 2):
+                    removals = strip_removals(w, t)
+                    starts = [i for i, _, _ in removals]
+                    assert starts == sorted(starts)
+                    got = sorted((partition_of_mask(v), h) for _, h, v in removals)
+                    assert got == sorted(diagram_strip_removals(lam, t))
+
+    def test_removal_leaves_a_canonical_window(self):
+        for lam in partitions_of(9):
+            for t in range(1, 10):
+                for _, _, v in strip_removals(bead_mask(from_partition(lam)), t):
+                    assert v == bead_mask(from_partition(partition_of_mask(v)))
+
+    def test_core_and_mask_against_diagram_hooks(self):
+        for n in range(9):
+            for lam in partitions_of(n):
+                hooks = diagram_hook_lengths(lam)
+                assert hook_length_mask(lam) == sum(1 << h for h in hooks)
+                for t in range(1, n + 3):
+                    assert is_tcore(lam, t) == (t not in hooks)
 
 
 class TestCores:

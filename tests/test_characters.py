@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import charcore.characters as characters
 from charcore.characters import (
+    CHI_CAP,
     CharacterTable,
     build_table,
     centralizer_order,
@@ -19,6 +22,11 @@ from charcore.characters import (
 from charcore.errors import SizeCapError
 from charcore.partitions import conjugate, partitions_of
 from oracles import mn_reference
+
+
+row_class_pairs = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[st.sampled_from(partitions_of(n))] * 2)
+)
 
 
 def class_sign(mu):
@@ -53,6 +61,22 @@ class TestChi:
             lam = parts[rng.randrange(len(parts))]
             mu = parts[rng.randrange(len(parts))]
             assert chi(lam, mu) == mn_reference(lam, mu)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_class_pairs)
+    def test_against_diagram_recursion_property(self, pair):
+        lam, mu = pair
+        assert chi(lam, mu) == mn_reference(lam, mu)
+
+    def test_size_cap(self):
+        with pytest.raises(SizeCapError):
+            chi((1,) * 1200, (1,) * 1200)
+        with pytest.raises(SizeCapError):
+            chi((CHI_CAP + 1,), (CHI_CAP + 1,))
+
+    def test_deepest_recursion_under_the_cap(self):
+        assert chi((CHI_CAP,), (1,) * CHI_CAP) == 1
+        assert chi((1,) * CHI_CAP, (1,) * CHI_CAP) == 1
 
     def test_conjugation_symmetry(self, tables):
         for n in range(1, 13):
@@ -108,6 +132,19 @@ class TestTable:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             build_table(27)
+
+    def test_rows_encoded_once_per_size(self, monkeypatch):
+        encode, calls = characters.from_partition, []
+
+        def counted(parts):
+            calls.append(parts)
+            return encode(parts)
+
+        monkeypatch.setattr(characters, "from_partition", counted)
+        characters._row_masks.cache_clear()
+        build_table(9)
+        characters._row_masks.cache_clear()
+        assert calls == list(partitions_of(9))
 
     def test_threads_bit_identical(self, tables):
         assert build_table(10, threads=2) == tables.get(10)

@@ -82,6 +82,63 @@ class TestExitCodes:
     def test_cap_is_usage_error(self):
         assert run_cli("table", "40").returncode == 2
 
+    def test_chi_size_cap_is_usage_error(self):
+        big = "[" + ",".join(["1"] * 1200) + "]"
+        res = run_cli("chi", "--lambda", big, "--mu", big)
+        assert res.returncode == 2
+        assert "capped" in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table", "4", "--threads", "-3"),
+            ("table", "4", "--threads", "0"),
+            ("stats", "density", "--n", "4", "--mod", "2", "--threads", "-3"),
+            ("sample", "--n", "5", "--seed", "1", "--count", "-2"),
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, args):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert "must be at least" in res.stderr and res.stdout == ""
+
+    def test_zero_samples_print_nothing(self):
+        res = run_cli("sample", "--n", "5", "--seed", "1", "--count", "0")
+        assert res.returncode == 0 and res.stdout == ""
+
+    def test_closed_stdout_is_quiet(self):
+        proc = subprocess.Popen(
+            BASE + ["table", "16"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline().startswith("partition,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 0
+        assert err == ""
+
+    def test_failed_run_keeps_existing_out(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("keep\n")
+        res = run_cli("table", "30", "--out", str(target))
+        assert res.returncode == 2
+        assert target.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_out_replaces_existing_file(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+        assert run_cli("table", "3", "--out", str(target)).returncode == 0
+        assert target.read_text() == run_cli("table", "3").stdout
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        res = run_cli("table", "3", "--out", str(tmp_path / "missing" / "t.csv"))
+        assert res.returncode == 2 and "Traceback" not in res.stderr
+
     def test_verify_success_exit_zero(self):
         res = run_cli("verify", "combine", "--n", "6", "--p", "2", "--r", "2")
         assert res.returncode == 0
