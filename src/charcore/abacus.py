@@ -230,6 +230,8 @@ def tcore(parts, t: int) -> Partition:
     Computed by pushing every bead of each residue class as far left as it
     goes; the result is independent of the removal order.
     """
+    if t < 1:
+        raise ValueError("t must be positive")
     qv = quotient(from_partition(parts), t)
     subs = [sorted(sub, reverse=True) for sub in qv.raw]
     w: list[int] = []

@@ -2,10 +2,11 @@
 
 Subcommands: chi, table, reduce, core, sample, verify, stats.  Exit codes:
 0 on success (and zero violations), 1 when a verifier finds violations,
-2 on usage errors.  A reader that closes stdout early ends the run quietly
-with 0.  `--out` is written to a temporary file that replaces the target only
-when the command completes.  Output is byte-identical for identical arguments
-and independent of the worker count.
+2 on usage errors and on a verifier run that checks nothing.  A reader that
+closes stdout early ends the run quietly with 0.  `--out` is written to a
+temporary file that replaces the target only when the command completes.
+Output is byte-identical for identical arguments and independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ import mpmath
 from . import characters, divisibility, stats
 from .abacus import is_tcore, tcore
 from .divisibility import CombineConfig
-from .errors import FormatError
-from .partitions import format_partition, parse_partition, sample_uniform
+from .errors import FormatError, RangeError
+from .partitions import (
+    format_partition,
+    parse_partition,
+    sample_seed,
+    sample_uniform,
+)
 
 
 def _threads(args) -> int:
@@ -38,11 +44,24 @@ def _dump_json(obj, out) -> None:
     out.write("\n")
 
 
+def _write_csv_row(d: dict, out) -> None:
+    """One-row CSV: the keys of d as the header, then its values."""
+    out.write(",".join(d) + "\n")
+    out.write(",".join(str(v) for v in d.values()) + "\n")
+
+
+def _write_record(d: dict, fmt: str, out) -> None:
+    if fmt == "csv":
+        _write_csv_row(d, out)
+    else:
+        _dump_json(d, out)
+
+
 def _report_out(report, fmt: str, out) -> int:
     d = report.as_dict()
     if fmt == "csv":
-        out.write("lemma,checked,skipped,violated\n")
-        out.write(f"{d['lemma']},{d['checked']},{d['skipped']},{d['violated']}\n")
+        keys = ("lemma", "checked", "skipped", "violated")
+        _write_csv_row({k: d[k] for k in keys}, out)
     elif fmt == "text":
         out.write(
             f"{d['lemma']}: checked={d['checked']} skipped={d['skipped']} "
@@ -211,7 +230,8 @@ def _cmd_sample(args, out) -> int:
     if args.count < 0:
         raise FormatError(f"--count must be at least 0, got {args.count}")
     for i in range(args.count):
-        out.write(format_partition(sample_uniform(args.n, args.seed + i)) + "\n")
+        seed = sample_seed(args.seed, i)
+        out.write(format_partition(sample_uniform(args.n, seed)) + "\n")
     return 0
 
 
@@ -244,19 +264,18 @@ def _cmd_verify(args, out) -> int:
         report = divisibility.verify_theorem3(args.n, cfg)
     else:
         report = divisibility.verify_lemma81(args.n, cfg)
+    if report.checked == 0 and report.violated == 0:
+        raise RangeError(
+            f"{lemma}: nothing to check at these parameters (checked=0 "
+            f"skipped={report.skipped} violated=0)"
+        )
     return _report_out(report, args.format, out)
 
 
 def _cmd_stats(args, out) -> int:
     if args.stat == "density":
         rep = stats.density_report(args.n, args.mod, threads=_threads(args))
-        d = rep.as_dict()
-        if args.format == "csv":
-            keys = list(d)
-            out.write(",".join(keys) + "\n")
-            out.write(",".join(str(d[k]) for k in keys) + "\n")
-        else:
-            _dump_json(d, out)
+        _write_record(rep.as_dict(), args.format, out)
         return 0
     if args.stat == "tcores":
         count = stats.count_non_tcores(args.n, args.t)
@@ -268,12 +287,7 @@ def _cmd_stats(args, out) -> int:
             if args.t <= args.n
             else 0,
         }
-        if args.format == "csv":
-            keys = list(d)
-            out.write(",".join(keys) + "\n")
-            out.write(",".join(str(d[k]) for k in keys) + "\n")
-        else:
-            _dump_json(d, out)
+        _write_record(d, args.format, out)
         return 0
     if args.stat == "prop4":
         cfg = CombineConfig(args.p, args.r)

@@ -9,10 +9,10 @@ divisibility directly, without evaluating the character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
-from math import factorial
-from typing import Iterable, Sequence
+from math import factorial, prod
+from typing import Iterable, Iterator, Sequence
 
 from .abacus import (
     aligned_windows,
@@ -82,11 +82,12 @@ def combine_step(mu, m: int, cfg: CombineConfig) -> Partition:
     return from_multiplicities(counts)
 
 
-def carry_levels(levels: Sequence[int], p: int, r: int) -> list[int]:
-    """Run the rewrite along one p-free class: multiplicities by level, lowest first.
+def _carry_pass(levels: Sequence[int], p: int, r: int) -> list[int]:
+    """The combining rule along one p-free class, multiplicities lowest level first.
 
-    Whenever a level holds at least p**r parts, p**r of them are traded for
-    p**(r-1) at the next level up; the result is the fixpoint.
+    Returns each level's count after the carries from below arrive: a level
+    holding c parts trades p**r of them for p**(r-1) at the next level up,
+    c // p**r times, and keeps c % p**r.
     """
     q = p**r
     keep = p ** (r - 1)
@@ -95,12 +96,21 @@ def carry_levels(levels: Sequence[int], p: int, r: int) -> list[int]:
     while j < len(arr):
         t = arr[j] // q
         if t:
-            arr[j] -= q * t
             if j + 1 == len(arr):
                 arr.append(0)
             arr[j + 1] += keep * t
         j += 1
     return arr
+
+
+def carry_levels(levels: Sequence[int], p: int, r: int) -> list[int]:
+    """Run the rewrite along one p-free class: multiplicities by level, lowest first.
+
+    Whenever a level holds at least p**r parts, p**r of them are traded for
+    p**(r-1) at the next level up; the result is the fixpoint.
+    """
+    q = p**r
+    return [c % q for c in _carry_pass(levels, p, r)]
 
 
 @dataclass(frozen=True)
@@ -125,32 +135,26 @@ def reduce_partition(mu, cfg: CombineConfig) -> ReductionTrace:
     rewrite order.
     """
     mu = check_partition(mu)
+    p, q = cfg.p, cfg.q
     classes: dict[int, dict[int, int]] = {}
     for m, a in multiplicities(mu).items():
         free, level = m, 0
-        while free % cfg.p == 0:
-            free //= cfg.p
+        while free % p == 0:
+            free //= p
             level += 1
         classes.setdefault(free, {})[level] = a
     final: dict[int, int] = {}
     steps: list[ReductionStep] = []
     for free in sorted(classes):
         by_level = classes[free]
-        arr = [by_level.get(j, 0) for j in range(max(by_level) + 1)]
-        j = 0
-        while j < len(arr):
-            c = arr[j]
-            while c >= cfg.q:
-                steps.append(ReductionStep(free * cfg.p**j, c, c - cfg.q))
-                c -= cfg.q
-                if j + 1 == len(arr):
-                    arr.append(0)
-                arr[j + 1] += cfg.p ** (cfg.r - 1)
-            arr[j] = c
-            j += 1
-        for j, a in enumerate(arr):
-            if a:
-                final[free * cfg.p**j] = a
+        levels = [by_level.get(j, 0) for j in range(max(by_level) + 1)]
+        part = free
+        for c in _carry_pass(levels, p, cfg.r):
+            if c >= q:
+                steps += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
+            if c % q:
+                final[part] = c % q
+            part *= p
     out = from_multiplicities(final)
     assert sum(out) == sum(mu)
     return ReductionTrace(mu, out, tuple(steps))
@@ -187,14 +191,7 @@ class VerifyReport:
             self.witness = other.witness
 
     def as_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "params": self.params,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "violated": self.violated,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def verify_combine_congruence(
@@ -349,12 +346,22 @@ def _multinomial(total: int, parts: Iterable[int]) -> int:
     return out
 
 
-def verify_count_factorization(lam, lam2, m: int) -> FactorizationCheck:
-    """Compare the direct sequence count against the residue-wise product.
+def _predicted_count(a, lam2, m: int, count: int):
+    """Ordered removals of `count` m-hooks from abacus a down to lam2, predicted.
 
-    The number of ordered removals factors as a multinomial over residues
-    times the per-residue standard-filling counts.
+    The count factors as a multinomial over residues times the per-residue
+    standard-filling counts; returns (prediction, multinomial, fillings, sizes).
     """
+    skews = skew_per_residue(a, from_partition(lam2), m)
+    sizes = tuple(sz for _, sz in skews)
+    assert sum(sizes) == count
+    multinomial = _multinomial(count, sizes)
+    fillings = tuple(count_skew_syt(shape) for shape, _ in skews)
+    return multinomial * prod(fillings), multinomial, fillings, sizes
+
+
+def verify_count_factorization(lam, lam2, m: int) -> FactorizationCheck:
+    """Compare the direct sequence count against the residue-wise product."""
     lam = check_partition(lam)
     lam2 = check_partition(lam2)
     diff = sum(lam) - sum(lam2)
@@ -363,22 +370,13 @@ def verify_count_factorization(lam, lam2, m: int) -> FactorizationCheck:
             f"size difference {diff} is not a positive multiple of {m}"
         )
     count = diff // m
-    skews = skew_per_residue(from_partition(lam), from_partition(lam2), m)
-    sizes = tuple(sz for _, sz in skews)
-    assert sum(sizes) == count
-    skew_counts = tuple(count_skew_syt(shape) for shape, _ in skews)
-    predicted = _multinomial(count, sizes)
-    for f in skew_counts:
-        predicted *= f
+    predicted, multinomial, fillings, sizes = _predicted_count(
+        from_partition(lam), lam2, m, count
+    )
     groups = enumerate_hook_sequences(lam, m, count)
     direct = len(groups.get(lam2, []))
     return FactorizationCheck(
-        direct == predicted,
-        direct,
-        predicted,
-        _multinomial(count, sizes),
-        skew_counts,
-        sizes,
+        direct == predicted, direct, predicted, multinomial, fillings, sizes
     )
 
 
@@ -415,10 +413,7 @@ def verify_factorization(n: int, m: int, max_hooks: int = 4) -> VerifyReport:
             if count * m > n:
                 break
             for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-                skews = skew_per_residue(a, from_partition(lam2), m)
-                predicted = _multinomial(count, (sz for _, sz in skews))
-                for shape, _ in skews:
-                    predicted *= count_skew_syt(shape)
+                predicted = _predicted_count(a, lam2, m, count)[0]
                 report.check(
                     len(seqs) == predicted,
                     {
@@ -437,10 +432,8 @@ def verify_lemma62(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
     count = cfg.p ** (cfg.r - 1)
     report = VerifyReport("lemma62", {"n": n, "m": m, "p": cfg.p, "r": cfg.r})
     for lam in partitions_of(n):
-        if not is_tcore(lam, count * m):
+        if count * m > n or not is_tcore(lam, count * m):
             report.skipped += 1
-            continue
-        if count * m > n:
             continue
         for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
             report.check(
@@ -534,21 +527,32 @@ class TheoremCheck:
     core_lengths: tuple[int, ...] | None
 
 
-def _hypothesis(lam, mu, cfg: CombineConfig):
-    """Find part sizes m_1..m_r of mu making lam a core for all combined lengths."""
+def _sum_sets(
+    mu, cfg: CombineConfig
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each r-set of part sizes of mu, with its sorted combined lengths.
+
+    A size qualifies when it occurs at least p**(r-1) times in mu; the combined
+    lengths of m_1..m_r are the sums k_1 m_1 + ... + k_r m_r with every k_i at
+    most p**(r-1) and some k_i equal to it.
+    """
     reps = cfg.p ** (cfg.r - 1)
     candidates = sorted(m for m, a in multiplicities(mu).items() if a >= reps)
-    mask = hook_length_mask(lam)
     for sizes in combinations(candidates, cfg.r):
-        sums = sorted(
-            {
-                sum(k * m for k, m in zip(ks, sizes))
-                for ks in product(range(reps + 1), repeat=cfg.r)
-                if max(ks) == reps
-            }
-        )
+        sums = {
+            sum(k * m for k, m in zip(ks, sizes))
+            for ks in product(range(reps + 1), repeat=cfg.r)
+            if max(ks) == reps
+        }
+        yield sizes, tuple(sorted(sums))
+
+
+def _hypothesis(lam, mu, cfg: CombineConfig):
+    """Find part sizes m_1..m_r of mu making lam a core for all combined lengths."""
+    mask = hook_length_mask(lam)
+    for sizes, sums in _sum_sets(mu, cfg):
         if all(not (mask >> t) & 1 for t in sums):
-            return True, sizes, tuple(sums)
+            return True, sizes, sums
     return False, None, None
 
 
@@ -571,23 +575,12 @@ def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
     """Exhaust all row/class pairs of size n for hypothesis-vs-divisibility."""
     report = VerifyReport("theorem3", {"n": n, "p": cfg.p, "r": cfg.r})
     rows = partitions_of(n)
-    reps = cfg.p ** (cfg.r - 1)
     masks = [hook_length_mask(lam) for lam in rows]
     for mu in rows:
-        candidates = sorted(m for m, a in multiplicities(mu).items() if a >= reps)
-        if len(candidates) < cfg.r:
+        sum_sets = [sums for _, sums in _sum_sets(mu, cfg)]
+        if not sum_sets:
             report.skipped += len(rows)
             continue
-        sum_sets = [
-            sorted(
-                {
-                    sum(k * m for k, m in zip(ks, sizes))
-                    for ks in product(range(reps + 1), repeat=cfg.r)
-                    if max(ks) == reps
-                }
-            )
-            for sizes in combinations(candidates, cfg.r)
-        ]
         column: list[int] | None = None
         for i, lam in enumerate(rows):
             mask = masks[i]

@@ -120,11 +120,6 @@ def hook_lengths(parts) -> list[list[int]]:
     ]
 
 
-def max_hook_length(parts) -> int:
-    """Largest hook length, i.e. first row plus first column minus one."""
-    return parts[0] + len(parts) - 1 if parts else 0
-
-
 def multiplicities(parts) -> dict[int, int]:
     """Map each part size to its multiplicity, largest size first."""
     out: dict[int, int] = {}
@@ -158,6 +153,19 @@ def _bounded_counts(n: int) -> list[list[int]]:
             row[m] = row[m - 1] + _bounded[rem][min(m, rem)]
         _bounded.append(row)
     return _bounded
+
+
+def sample_seed(seed: int, i: int) -> int:
+    """Seed of the i-th draw of a run seeded with `seed`.
+
+    Each integer is folded onto the naturals (x >= 0 -> 2x, x < 0 -> -2x - 1)
+    and the pair is joined by Cantor's pairing, so distinct (seed, i) pairs
+    never share a seed and the result is never negative (`random.Random`
+    ignores the sign of an integer seed).
+    """
+    a = 2 * seed if seed >= 0 else -2 * seed - 1
+    b = 2 * i if i >= 0 else -2 * i - 1
+    return (a + b) * (a + b + 1) // 2 + b
 
 
 def sample_uniform(n: int, rng_seed: int) -> Partition:

@@ -9,18 +9,19 @@ rigorous), and asymptotic statements are reported but never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import mpmath
 
 from .abacus import hook_length_mask
 from .characters import CharacterTable, build_table
-from .divisibility import CombineConfig, carry_levels, is_prime, reduce_partition
+from .divisibility import CombineConfig, is_prime, reduce_partition
 from .errors import RangeError, SizeCapError
 from .partitions import (
     multiplicities,
     partition_count,
     partitions_of,
+    sample_seed,
     sample_uniform,
 )
 
@@ -41,15 +42,7 @@ class DensityReport:
     nonzero_negative: int
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "modulus": self.modulus,
-            "total": self.total,
-            "divisible": self.divisible,
-            "zero": self.zero,
-            "nonzero_positive": self.nonzero_positive,
-            "nonzero_negative": self.nonzero_negative,
-        }
+        return asdict(self)
 
 
 def density_report(
@@ -112,21 +105,13 @@ def ppower_count(p: int, k: int, cap: int = PPOWER_CAP) -> int:
     return _ppower_table(p, k)[k]
 
 
-def _reduction_stays_low(counts: list[int], p: int, r: int, s: int) -> bool:
-    """True iff the reduced multiplicities are below p**(r-1) at all levels >= s."""
-    keep = p ** (r - 1)
-    arr = carry_levels(counts, p, r)
-    return all(a < keep for a in arr[s:])
-
-
 def ppower_count_restricted(
     p: int, r: int, s: int, k: int, cap: int = RESTRICTED_CAP
 ) -> int:
     """Partitions of k into p-powers whose reduction avoids levels >= s.
 
-    Every multiplicity vector of sum k is enumerated and reduced; a partition
-    counts when the fixpoint has fewer than p**(r-1) parts of size p**j for
-    every j >= s.
+    A partition counts when the fixpoint of the combining rewrite has fewer
+    than p**(r-1) parts of size p**j for every j >= s.  Read off the carry DP.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -134,32 +119,7 @@ def ppower_count_restricted(
         raise ValueError("r must be positive and s, k nonnegative")
     if k > cap:
         raise SizeCapError(f"capped at k <= {cap}, got {k}")
-    if k == 0:
-        return 1
-    levels = []
-    w = 1
-    while w <= k:
-        levels.append(w)
-        w *= p
-    counts = [0] * len(levels)
-    hits = 0
-
-    def rec(j: int, budget: int) -> None:
-        nonlocal hits
-        if j == 0:
-            counts[0] = budget
-            if _reduction_stays_low(counts, p, r, s):
-                hits += 1
-            counts[0] = 0
-            return
-        w = levels[j]
-        for a in range(budget // w + 1):
-            counts[j] = a
-            rec(j - 1, budget - a * w)
-        counts[j] = 0
-
-    rec(len(levels) - 1, k)
-    return hits
+    return restricted_counts_table(p, r, s, k)[k]
 
 
 def restricted_counts_table(p: int, r: int, s: int, kmax: int) -> list[int]:
@@ -167,30 +127,19 @@ def restricted_counts_table(p: int, r: int, s: int, kmax: int) -> list[int]:
 
     Walks the levels bottom-up; a state is (weight used, carry entering the
     current level) and choosing the parts of one size is a unary closure, so
-    the pass is linear in the state count.  Agrees with the per-k enumeration
-    (tested), just without materializing the partitions.
+    the pass is linear in the state count.  Above kmax no parts are added and
+    the walk goes on until every carry has settled.  Tested against the
+    multiplicity-vector enumeration `brute_restricted_count` in
+    `tests/oracles.py`.
     """
     q = p**r
     keep = p ** (r - 1)
-    good = [0] * (kmax + 1)
     # buckets[w] maps carry -> number of ways, for the current level
     buckets: list[dict[int, int]] = [dict() for _ in range(kmax + 1)]
     buckets[0][0] = 1
     pj = 1
     level = 0
-    while True:
-        if pj > kmax:
-            for w, carries in enumerate(buckets):
-                for carry, count in carries.items():
-                    c, j = carry, level
-                    while c:
-                        t, f = divmod(c, q)
-                        if j >= s and f >= keep:
-                            break
-                        c, j = keep * t, j + 1
-                    else:
-                        good[w] += count
-            return good
+    while pj <= kmax or any(c for carries in buckets for c in carries):
         for w in range(kmax - pj + 1):
             target = buckets[w + pj]
             for c, count in buckets[w].items():
@@ -205,6 +154,7 @@ def restricted_counts_table(p: int, r: int, s: int, kmax: int) -> list[int]:
         buckets = nxt
         pj *= p
         level += 1
+    return [carries.get(0, 0) for carries in buckets]
 
 
 @dataclass(frozen=True)
@@ -218,13 +168,7 @@ class BoundCheck:
     detail: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def ppower_difference_check(p: int, r: int, s: int, k: int) -> BoundCheck:
@@ -254,14 +198,15 @@ def generating_function_fp(p: int, t, dps: int = 30):
     """Product form of the p-power partition generating function at e**(-1/t).
 
     Factors with p**j > 50*t are dropped; each is within exp(exp(-50)) of 1,
-    far below the returned precision.  Agrees with the truncated series.
+    far below the returned precision.  Tested against the truncated series
+    `fp_series` in `tests/oracles.py`.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     with mpmath.workdps(dps + 15):
         tt = mpmath.mpf(t)
-        if tt <= 0:
-            raise ValueError("t must be positive")
+        if not (mpmath.isfinite(tt) and tt > 0):
+            raise ValueError(f"t must be positive and finite, got {t}")
         result = mpmath.mpf(1)
         power = mpmath.mpf(1)
         while power <= 50 * tt:
@@ -272,48 +217,15 @@ def generating_function_fp(p: int, t, dps: int = 30):
         return +value
 
 
-def fp_series(p: int, t, dps: int = 30):
-    """Series evaluation of the same generating function, as a cross-check."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    with mpmath.workdps(dps + 15):
-        tt = mpmath.mpf(t)
-        if tt <= 0:
-            raise ValueError("t must be positive")
-        # truncate where the terms are safely below the target precision;
-        # partitions of k into p-powers number fewer than exp(3 sqrt(k))
-        kmax = 8
-        threshold = mpmath.mpf(10) ** (-(dps + 12))
-        while kmax < 8 * tt or mpmath.exp(
-            3 * mpmath.sqrt(kmax) - kmax / tt
-        ) > threshold:
-            kmax *= 2
-        counts = [1] + [0] * kmax
-        w = 1
-        while w <= kmax:
-            for x in range(w, kmax + 1):
-                counts[x] += counts[x - w]
-            w *= p
-        z = mpmath.exp(-1 / tt)
-        acc = mpmath.mpf(0)
-        zk = mpmath.mpf(1)
-        for k in range(kmax + 1):
-            acc += counts[k] * zk
-            zk *= z
-        value = acc
-    with mpmath.workdps(dps):
-        return +value
-
-
-def _interval_threshold(n: int, cfg: CombineConfig):
-    """Interval enclosure of (1 + 1/(6q)) * sqrt(6)/(2 pi) * sqrt(n) * log(n)."""
-    one = mpmath.iv.mpf(1)
+def _threshold(ctx, n: int, cfg: CombineConfig):
+    """(1 + 1/(6q)) * sqrt(6)/(2 pi) * sqrt(n) * log(n) in the mpmath context ctx."""
+    one = ctx.mpf(1)
     return (
         (one + one / (6 * cfg.q))
-        * mpmath.iv.sqrt(6)
-        / (2 * mpmath.iv.pi)
-        * mpmath.iv.sqrt(n)
-        * mpmath.iv.log(n)
+        * ctx.sqrt(6)
+        / (2 * ctx.pi)
+        * ctx.sqrt(n)
+        * ctx.log(n)
     )
 
 
@@ -323,7 +235,7 @@ def exceeds_threshold(value: int, n: int, cfg: CombineConfig) -> bool:
     try:
         for dps in (40, 80, 160, 320):
             mpmath.iv.dps = dps
-            thr = _interval_threshold(n, cfg)
+            thr = _threshold(mpmath.iv, n, cfg)
             v = mpmath.iv.mpf(value)
             if v > thr:
                 return True
@@ -337,13 +249,7 @@ def exceeds_threshold(value: int, n: int, cfg: CombineConfig) -> bool:
 def prop4_threshold(n: int, cfg: CombineConfig, dps: int = 50):
     """The part-size threshold as a high-precision value (for reporting)."""
     with mpmath.workdps(dps):
-        return +(
-            (1 + mpmath.mpf(1) / (6 * cfg.q))
-            * mpmath.sqrt(6)
-            / (2 * mpmath.pi)
-            * mpmath.sqrt(n)
-            * mpmath.log(n)
-        )
+        return +_threshold(mpmath.mp, n, cfg)
 
 
 @dataclass(frozen=True)
@@ -361,19 +267,7 @@ class SamplingReport:
     ci95: tuple[float, float]
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "r": self.r,
-            "samples": self.samples,
-            "seed": self.seed,
-            "holds": self.holds,
-            "fails": self.fails,
-            "threshold": self.threshold,
-            "min_clearing_part": self.min_clearing_part,
-            "failure_fraction": self.failure_fraction,
-            "ci95": list(self.ci95),
-        }
+        return asdict(self)
 
 
 def prop4_empirical(
@@ -383,7 +277,7 @@ def prop4_empirical(
 
     The property: the reduction has at least r distinct part sizes, each with
     multiplicity at least p**(r-1) and with p**(r-1) * size clearing the
-    threshold.  Per-sample seeds are derived by a counter split, so the report
+    threshold.  Sample i is drawn with `sample_seed(rng_seed, i)`, so the report
     is a pure function of (n, cfg, samples, rng_seed).
     """
     if samples < 1:
@@ -391,15 +285,12 @@ def prop4_empirical(
     reps = cfg.p ** (cfg.r - 1)
     # smallest part size whose scaled value rigorously clears the threshold
     approx = prop4_threshold(n, cfg)
-    guess = max(1, int(mpmath.floor(approx / reps)))
-    m_min = guess + 2
-    for m in (guess - 1, guess, guess + 1, guess + 2):
-        if m >= 1 and exceeds_threshold(reps * m, n, cfg):
-            m_min = m
-            break
+    m_min = max(1, int(mpmath.floor(approx / reps)) - 1)
+    while not exceeds_threshold(reps * m_min, n, cfg):
+        m_min += 1
     holds = 0
     for i in range(samples):
-        mu = sample_uniform(n, rng_seed * 1_000_003 + i)
+        mu = sample_uniform(n, sample_seed(rng_seed, i))
         reduced = reduce_partition(mu, cfg).output
         big = sum(
             1

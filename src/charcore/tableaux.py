@@ -79,32 +79,6 @@ def _is_connected(cells: set[tuple[int, int]]) -> bool:
     return len(seen) == len(cells)
 
 
-def connected_components(shape: SkewShape) -> list[SkewShape]:
-    """Maximal edge-connected pieces, each returned as its own skew shape."""
-    remaining = set(shape.cells())
-    components = []
-    while remaining:
-        start = next(iter(sorted(remaining)))
-        seen = {start}
-        stack = [start]
-        while stack:
-            r, c = stack.pop()
-            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nb in remaining and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        remaining -= seen
-        rows = sorted({r for r, _ in seen})
-        spans = []
-        for r in rows:
-            cols = [c for rr, c in seen if rr == r]
-            spans.append((min(cols), max(cols) + 1))
-        outer = tuple(e for _, e in spans)
-        inner = tuple(s for s, _ in spans if s > 0)
-        components.append(SkewShape(outer, inner))
-    return components
-
-
 def _canonical_rows(shape: SkewShape) -> tuple[tuple[int, int], ...]:
     """Memo key: nonempty row spans, shifted so the leftmost cell is in column 0.
 

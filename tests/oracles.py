@@ -8,6 +8,8 @@ that the package itself uses.
 from fractions import Fraction
 from math import factorial
 
+import mpmath
+
 
 def diagram_strip_removals(lam, t):
     """All (resulting partition, height) pairs for removing a length-t strip.
@@ -144,6 +146,103 @@ def brute_ppower_count(p, k):
         return total
 
     return rec(k, len(powers) - 1)
+
+
+def brute_restricted_count(p, r, s, k):
+    """Partitions of k into powers of p whose reduction keeps fewer than
+    p**(r-1) parts of size p**j at every level j >= s.
+
+    Enumerates every multiplicity vector of sum k and reduces it one trade at a
+    time: while some level holds at least p**r parts, p**r of them become
+    p**(r-1) parts at the next level up.
+    """
+    q, keep = p**r, p ** (r - 1)
+    sizes = []
+    w = 1
+    while w <= k:
+        sizes.append(w)
+        w *= p
+
+    def vectors(j, budget):
+        # multiplicities of sizes[0..j], lowest first, with total weight budget
+        if j < 0:
+            if budget == 0:
+                yield []
+            return
+        for a in range(budget // sizes[j] + 1):
+            for rest in vectors(j - 1, budget - a * sizes[j]):
+                yield rest + [a]
+
+    def stays_low(counts):
+        j = 0
+        while j < len(counts):
+            while counts[j] >= q:
+                counts[j] -= q
+                if j + 1 == len(counts):
+                    counts.append(0)
+                counts[j + 1] += keep
+            j += 1
+        return all(a < keep for a in counts[s:])
+
+    return sum(1 for counts in vectors(len(sizes) - 1, k) if stays_low(counts))
+
+
+def fp_series(p, t, dps=30):
+    """The p-power partition generating function at exp(-1/t), summed as a
+    truncated power series (the library evaluates the product form)."""
+    with mpmath.workdps(dps + 15):
+        tt = mpmath.mpf(t)
+        # truncate where the terms are safely below the target precision;
+        # partitions of k into p-powers number fewer than exp(3 sqrt(k))
+        kmax = 8
+        threshold = mpmath.mpf(10) ** (-(dps + 12))
+        while kmax < 8 * tt or mpmath.exp(
+            3 * mpmath.sqrt(kmax) - kmax / tt
+        ) > threshold:
+            kmax *= 2
+        counts = [1] + [0] * kmax
+        w = 1
+        while w <= kmax:
+            for x in range(w, kmax + 1):
+                counts[x] += counts[x - w]
+            w *= p
+        z = mpmath.exp(-1 / tt)
+        acc = mpmath.mpf(0)
+        zk = mpmath.mpf(1)
+        for k in range(kmax + 1):
+            acc += counts[k] * zk
+            zk *= z
+        value = acc
+    with mpmath.workdps(dps):
+        return +value
+
+
+def connected_components(shape):
+    """Maximal edge-connected pieces of a skew shape, each as its own SkewShape."""
+    from charcore.tableaux import SkewShape
+
+    remaining = set(shape.cells())
+    components = []
+    while remaining:
+        start = min(remaining)
+        seen = {start}
+        stack = [start]
+        while stack:
+            r, c = stack.pop()
+            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if nb in remaining and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        remaining -= seen
+        rows = sorted({r for r, _ in seen})
+        spans = []
+        for r in rows:
+            cols = [c for rr, c in seen if rr == r]
+            spans.append((min(cols), max(cols) + 1))
+        outer = tuple(e for _, e in spans)
+        inner = tuple(s for s, _ in spans if s > 0)
+        components.append(SkewShape(outer, inner))
+    return components
 
 
 def random_order_reduce(mu, cfg, rng):

@@ -102,6 +102,31 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "must be at least" in res.stderr and res.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "lemma62", "--n", "4", "--m", "3", "--p", "2", "--r", "2"),
+            ("verify", "lemma61", "--n", "2", "--m", "5"),
+            ("verify", "lemma81", "--n", "2", "--p", "2", "--r", "3"),
+        ],
+    )
+    def test_verify_that_checks_nothing_is_usage_error(self, args):
+        res = run_cli(*args)
+        assert res.returncode == 2 and res.stdout == ""
+        assert "checked=0" in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("t", ["1e400", "inf", "nan", "0", "-1"])
+    def test_fp_rejects_non_finite_or_non_positive_t(self, t):
+        res = run_cli("stats", "fp", "--p", "2", "--t", t)
+        assert res.returncode == 2 and res.stdout == ""
+        assert "t must be positive and finite" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_core_names_t_in_its_error(self):
+        res = run_cli("core", "--lambda", "[3,1]", "--t", "0")
+        assert res.returncode == 2 and res.stdout == ""
+        assert "t must be positive" in res.stderr
+
     def test_zero_samples_print_nothing(self):
         res = run_cli("sample", "--n", "5", "--seed", "1", "--count", "0")
         assert res.returncode == 0 and res.stdout == ""

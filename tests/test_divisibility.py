@@ -245,6 +245,11 @@ class TestLemma62:
         report = verify_lemma62(6, 2, CombineConfig(2, 1))
         assert report.ok and report.checked == 0
 
+    def test_rows_too_small_for_the_removals_are_skipped(self):
+        # 2 removals of 3-hooks need n >= 6; every row of 4 is a skipped case
+        report = verify_lemma62(4, 3, CombineConfig(2, 2))
+        assert (report.checked, report.skipped, report.violated) == (0, 5, 0)
+
     def test_four_core_example(self):
         report = verify_lemma62(4, 1, CombineConfig(2, 3))
         assert report.ok

@@ -12,11 +12,11 @@ from charcore.partitions import (
     format_partition,
     from_multiplicities,
     hook_lengths,
-    max_hook_length,
     multiplicities,
     parse_partition,
     partition_count,
     partitions_of,
+    sample_seed,
     sample_uniform,
 )
 from oracles import naive_partitions
@@ -126,10 +126,6 @@ class TestHookLengths:
                         prod *= h
                 assert fact % prod == 0
 
-    def test_max_hook_length(self):
-        assert max_hook_length(()) == 0
-        assert max_hook_length((6, 5, 3, 1, 1, 1)) == 11
-
 
 class TestTextFormat:
     def test_round_trip(self):
@@ -181,6 +177,31 @@ class TestSampling:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             sample_uniform(5001, 0)
+
+    def test_seed_split_is_injective_and_non_negative(self):
+        pairs = [(seed, i) for seed in range(-40, 41) for i in range(-40, 41)]
+        seeds = [sample_seed(seed, i) for seed, i in pairs]
+        assert len(set(seeds)) == len(pairs)
+        assert min(seeds) >= 0
+
+    def test_seed_split_separates_sign_and_neighbours(self):
+        assert sample_seed(-1, 0) != sample_seed(1, 0)
+        run7 = {sample_seed(7, i) for i in range(3)}
+        run8 = {sample_seed(8, i) for i in range(2)}
+        assert not run7 & run8
+
+    def test_seed_split_inverts(self):
+        # Cantor's pairing undone, then the fold onto the naturals undone
+        from math import isqrt
+
+        def unfold(x):
+            return x // 2 if x % 2 == 0 else -(x + 1) // 2
+
+        for seed, i in ((0, 0), (-1, 0), (1, 0), (7, 2), (-10**12, 999), (3, -4)):
+            z = sample_seed(seed, i)
+            w = (isqrt(8 * z + 1) - 1) // 2
+            b = z - w * (w + 1) // 2
+            assert (unfold(w - b), unfold(b)) == (seed, i)
 
     @pytest.mark.parametrize("n,samples", [(6, 40000), (10, 60000)])
     def test_goodness_of_fit(self, n, samples):

@@ -9,7 +9,6 @@ from charcore.stats import (
     count_non_tcores,
     density_report,
     exceeds_threshold,
-    fp_series,
     generating_function_fp,
     lemma91_delta,
     ppower_count,
@@ -18,7 +17,7 @@ from charcore.stats import (
     prop4_empirical,
     prop4_threshold,
 )
-from oracles import brute_ppower_count
+from oracles import brute_ppower_count, brute_restricted_count, fp_series
 
 
 class TestDensity:
@@ -141,9 +140,22 @@ class TestRestrictedCounts:
             for s in range(4):
                 table = restricted_counts_table(p, r, s, 48)
                 for k in range(49):
-                    assert table[k] == ppower_count_restricted(p, r, s, k), (
+                    expect = brute_restricted_count(p, r, s, k)
+                    assert table[k] == expect, (p, r, s, k)
+                    assert ppower_count_restricted(p, r, s, k) == expect, (
                         p, r, s, k,
                     )
+
+    def test_larger_k_matches_enumeration(self):
+        # the size the benchmark's pdiff job asks for
+        assert ppower_count_restricted(2, 2, 2, 192) == brute_restricted_count(
+            2, 2, 2, 192
+        )
+
+    def test_just_under_the_cap_runs(self):
+        # 2000 has 264,830,889,564 partitions into powers of 2, too many to list
+        count = ppower_count_restricted(2, 2, 2, 2000)
+        assert 0 < count < ppower_count(2, 2000)
 
 
 class TestPPowerDifference:
@@ -208,6 +220,15 @@ class TestProp4:
         below = int(mpmath.floor(thr))
         assert not exceeds_threshold(below, 10**4, cfg)
         assert exceeds_threshold(below + 1, 10**4, cfg)
+
+    def test_min_clearing_part_is_the_smallest_that_clears(self):
+        for n, (p, r) in ((2, (2, 2)), (60, (2, 2)), (2000, (2, 2)),
+                          (500, (3, 2)), (1000, (2, 3)), (7, (5, 1))):
+            cfg = CombineConfig(p, r)
+            reps = p ** (r - 1)
+            m_min = prop4_empirical(n, cfg, 1, 0).min_clearing_part
+            assert exceeds_threshold(reps * m_min, n, cfg)
+            assert m_min == 1 or not exceeds_threshold(reps * (m_min - 1), n, cfg)
 
     def test_empirical_deterministic(self):
         cfg = CombineConfig(2, 2)

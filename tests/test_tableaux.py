@@ -7,7 +7,6 @@ from charcore.errors import SizeCapError
 from charcore.partitions import partitions_of
 from charcore.tableaux import (
     SkewShape,
-    connected_components,
     count_skew_syt,
     count_syt,
     is_border_strip,
@@ -15,7 +14,7 @@ from charcore.tableaux import (
     lr_coefficient,
     verify_lr_expansion,
 )
-from oracles import aitken_count, brute_skew_syt
+from oracles import aitken_count, brute_skew_syt, connected_components
 
 
 def all_subdiagrams(outer, size_drop):
