@@ -2,9 +2,11 @@
 
 Subcommands: chi, table, reduce, core, sample, verify, stats.  Exit codes:
 0 on success (and zero violations), 1 when a verifier finds violations,
-2 on usage errors and on a verifier run that checks nothing.  A reader that
-closes stdout early ends the run quietly with 0.  `--out` is written to a
-temporary file that replaces the target only when the command completes.
+2 on usage errors, on a verifier run that checks nothing and on an internal
+error (one `charcore: internal error: <Type>: <message>` line on stderr).  A
+reader that closes stdout early ends the run quietly with 0.  `--out` is
+written to a temporary file that replaces the target only when the command
+completes.
 Output is byte-identical for identical arguments and independent of the
 worker count.
 """
@@ -295,6 +297,8 @@ def _cmd_stats(args, out) -> int:
         _dump_json(rep.as_dict(), out)
         return 0
     if args.stat == "fp":
+        if args.dps < 1:
+            raise FormatError(f"--dps must be at least 1, got {args.dps}")
         value = stats.generating_function_fp(args.p, args.t, dps=args.dps)
         _dump_json(
             {
@@ -366,6 +370,10 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:  # every charcore error is a ValueError
         print(f"charcore: error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault in charcore, not in the input
+        name = type(exc).__name__
+        print(f"charcore: internal error: {name}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,9 @@ as conjugacy-class cycle types.  All arithmetic is exact (Python integers).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterator, Mapping
 
 from .errors import FormatError, SizeCapError
@@ -139,19 +141,20 @@ def from_multiplicities(mult: Mapping[int, int]) -> Partition:
     return tuple(parts)
 
 
-# _bounded[k][m] = number of partitions of k into parts of size <= m, for m <= k.
-# For m > k the count equals _bounded[k][k].  Grown on demand, shared per process.
 _bounded: list[list[int]] = [[1]]
 
 
 def _bounded_counts(n: int) -> list[list[int]]:
+    """Rows 0..n of `_bounded`: row k, entry m (m <= k) counts the partitions of
+    k into parts <= m.  Quadratic in n: about 126 MB at n = 2000, 299 MB at 3000."""
     while len(_bounded) <= n:
         k = len(_bounded)
-        row = [0] * (k + 1)
-        for m in range(1, k + 1):
-            rem = k - m
-            row[m] = row[m - 1] + _bounded[rem][min(m, rem)]
-        _bounded.append(row)
+        terms = chain(
+            (_bounded[k - m][m] for m in range(1, k // 2 + 1)),
+            (_bounded[k - m][-1] for m in range(k // 2 + 1, k + 1)),
+        )
+        # the copy is exact-size; the list that accumulate fills over-allocates
+        _bounded.append(list(accumulate(terms, initial=0))[:])
     return _bounded
 
 
@@ -171,9 +174,9 @@ def sample_seed(seed: int, i: int) -> int:
 def sample_uniform(n: int, rng_seed: int) -> Partition:
     """Draw one partition of n, exactly uniformly over all p(n) of them.
 
-    Walks the bounded-count table, picking each successive largest part with
-    its exact conditional probability; integer draws only, so the distribution
-    is uniform and the output is a pure function of (n, rng_seed).
+    Picks each successive largest part by bisecting the nondecreasing row
+    `table[remaining]` at one integer draw: O(log n) per part, the output a
+    pure function of (n, rng_seed).  The table is quadratic in n.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -184,14 +187,10 @@ def sample_uniform(n: int, rng_seed: int) -> Partition:
     parts: list[int] = []
     remaining, bound = n, n
     while remaining:
+        row = table[remaining]
         b = min(bound, remaining)
-        u = rng.randrange(table[remaining][b])
-        for m in range(b, 0, -1):
-            rem = remaining - m
-            c = table[rem][min(m, rem)]
-            if u < c:
-                parts.append(m)
-                remaining, bound = rem, m
-                break
-            u -= c
+        # the least m with row[m] >= row[b] - u, u uniform below row[b]
+        m = bisect_left(row, row[b] - rng.randrange(row[b]), 1, b + 1)
+        parts.append(m)
+        remaining, bound = remaining - m, m
     return tuple(parts)

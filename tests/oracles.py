@@ -5,6 +5,7 @@ deliberately avoiding the bead-sequence machinery and the memoized recursions
 that the package itself uses.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -258,3 +259,41 @@ def random_order_reduce(mu, cfg, rng):
         if not options:
             return current
         current = combine_step(current, rng.choice(options), cfg)
+
+
+_reference_rows = [[1]]
+
+
+def bounded_counts_reference(n):
+    """Rows 0..n of the bounded partition counts by the textbook recurrence:
+    row k, entry m counts partitions of k into parts <= m, one entry at a time."""
+    while len(_reference_rows) <= n:
+        k = len(_reference_rows)
+        row = [0] * (k + 1)
+        for m in range(1, k + 1):
+            rem = k - m
+            row[m] = row[m - 1] + _reference_rows[rem][min(m, rem)]
+        _reference_rows.append(row)
+    return _reference_rows[: n + 1]
+
+
+def linear_scan_sample(n, seed):
+    """Uniform partition of n: draw u below the count of partitions with
+    largest part <= b, then scan the largest part down from b, subtracting the
+    count of each candidate until u falls inside one."""
+    table = bounded_counts_reference(n)
+    rng = random.Random(seed)
+    parts = []
+    remaining, bound = n, n
+    while remaining:
+        b = min(bound, remaining)
+        u = rng.randrange(table[remaining][b])
+        for m in range(b, 0, -1):
+            rem = remaining - m
+            c = table[rem][min(m, rem)]
+            if u < c:
+                parts.append(m)
+                remaining, bound = rem, m
+                break
+            u -= c
+    return tuple(parts)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -121,6 +122,35 @@ class TestExitCodes:
         assert res.returncode == 2 and res.stdout == ""
         assert "t must be positive and finite" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("dps", ["-5", "0"])
+    def test_fp_rejects_dps_below_one(self, dps):
+        res = run_cli("stats", "fp", "--p", "2", "--t", "5", "--dps", dps)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            f"charcore: error: --dps must be at least 1, got {dps}\n"
+        )
+
+    def test_internal_error_exits_two_and_keeps_out(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from charcore import cli
+
+        def boom(args, out):
+            out.write("partial\n")
+            raise RuntimeError("cannot separate 7 from the threshold")
+
+        monkeypatch.setitem(cli._COMMANDS, "table", boom)
+        target = tmp_path / "t.csv"
+        target.write_text("keep\n")
+        assert cli.main(["table", "3", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "charcore: internal error: RuntimeError: "
+            "cannot separate 7 from the threshold\n"
+        )
+        assert target.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_core_names_t_in_its_error(self):
         res = run_cli("core", "--lambda", "[3,1]", "--t", "0")
@@ -248,6 +278,28 @@ class TestDeterminism:
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
+                ("sample", "--n", "2000", "--seed", "7", "--count", "3"),
+                "dc80b634ef93b2eae3df9bde5edb1f44fe506c381db90f6fb843b8122209a23e",
+            ),
+            (
+                (
+                    "stats", "prop4", "--n", "2000", "--p", "2", "--r", "2",
+                    "--samples", "200", "--seed", "1",
+                ),
+                "ad097ffe636ea9e7bc95ca368bace45c38d4e9bf8106b5b0eb466aa5f2645524",
+            ),
+        ],
+    )
+    def test_seeded_output_is_frozen(self, args, digest):
+        # a change to the draw stream of the sampler changes these digests
+        res = run_cli(*args)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
     def test_thread_count_invariant(self):
         outputs = {

@@ -2,10 +2,11 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from charcore.errors import FormatError, SizeCapError
 from charcore.partitions import (
+    _bounded_counts,
     check_partition,
     conjugate,
     enumerate_partitions,
@@ -19,7 +20,7 @@ from charcore.partitions import (
     sample_seed,
     sample_uniform,
 )
-from oracles import naive_partitions
+from oracles import bounded_counts_reference, linear_scan_sample, naive_partitions
 
 partition_lists = st.lists(st.integers(1, 9), max_size=9).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -202,6 +203,28 @@ class TestSampling:
             w = (isqrt(8 * z + 1) - 1) // 2
             b = z - w * (w + 1) // 2
             assert (unfold(w - b), unfold(b)) == (seed, i)
+
+    def test_matches_linear_scan_small_n(self):
+        for n in range(1, 121):
+            for seed in range(50):
+                assert sample_uniform(n, seed) == linear_scan_sample(n, seed)
+
+    def test_matches_linear_scan_at_2000(self):
+        for seed in range(20):
+            assert sample_uniform(2000, seed) == linear_scan_sample(2000, seed)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 400), st.integers())
+    def test_matches_linear_scan_property(self, n, seed):
+        assert sample_uniform(n, seed) == linear_scan_sample(n, seed)
+
+    def test_bounded_rows_match_recurrence(self):
+        assert _bounded_counts(300)[:301] == bounded_counts_reference(300)
+
+    def test_bounded_diagonal_is_partition_count(self):
+        table = _bounded_counts(30)
+        for k in range(31):
+            assert table[k][k] == len(partitions_of(k))
 
     @pytest.mark.parametrize("n,samples", [(6, 40000), (10, 60000)])
     def test_goodness_of_fit(self, n, samples):
