@@ -7,15 +7,22 @@ into a bi-infinite bead sequence, considered up to index shifts.  `Abacus`
 stores the finite window together with the absolute index of its first symbol.
 
 Hooks of the partition are exactly the index pairs (i, i + t) whose beads read
-(0, 1); swapping the two beads removes the corresponding border strip.  All
+(0, 1); exchanging the two beads removes the corresponding border strip.  All
 values here are immutable and every operation returns a fresh abacus.
 
-The hot paths work on the window as one integer, its bead mask: bit i is the
-bead at window index i (`bead_mask`).  The starts of the hooks of length t
-are then the set bits of `(w >> t) & ~w`, a hook's height is the bit count of
-the beads strictly between its two ends, a strip is removed by XOR-ing its two
+The window is worked on as one integer, its bead mask: bit i is the bead at
+window index i (`bead_mask`).  The starts of the hooks of length t are then
+the set bits of `(w >> t) & ~w`, a hook's height is the bit count of the
+beads strictly between its two ends, a strip is removed by XOR-ing its two
 bits, and the window is made canonical again by shifting off the low run of
-1s (`strip_removals`).  `mask_partition` reads the partition back.
+1s (`strip_removals`, `remove_border_strip`).  `mask_partition` reads the
+partition back.
+
+Modulo m the beads sit on m runners: the bead at window index i is on runner
+i % m at level i // m.  Removing an m-hook moves one bead a level down its
+runner, so t-cores (every runner's beads pushed down) and the residue skews
+between a partition and one reachable from it are read off the runner levels;
+a runner's partition has one part per bead, its level minus its rank.
 """
 
 from __future__ import annotations
@@ -98,19 +105,9 @@ def from_partition(parts) -> Abacus:
 def to_partition(a: Abacus) -> Partition:
     """Inverse of from_partition; rejects non-canonical windows."""
     word = a.word
-    if not word:
-        return ()
-    if word[0] != 0 or word[-1] != 1 or any(b not in (0, 1) for b in word):
+    if word and (word[0] != 0 or word[-1] != 1 or any(b not in (0, 1) for b in word)):
         raise FormatError(f"not a canonical abacus window: {a}")
-    parts: list[int] = []
-    zeros = 0
-    for b in word:
-        if b == 0:
-            zeros += 1
-        else:
-            parts.append(zeros)
-    parts.reverse()
-    return tuple(parts)
+    return mask_partition(bead_mask(a))
 
 
 def bead_mask(a: Abacus) -> int:
@@ -170,26 +167,13 @@ def hook_length_mask(parts: Partition) -> int:
     return sum(1 << t for t in range(1, w.bit_length()) if (w >> t) & ~w)
 
 
-def swap(a: Abacus, i: int, j: int) -> Abacus:
-    """The bead-exchange operator on absolute indices; an involution.
-
-    The window is extended as needed so both indices are materialized; no
-    canonicalization is applied.
-    """
-    if i == j:
-        raise ValueError("indices must be distinct")
-    lo = min(i, j, a.offset)
-    hi = max(i, j, a.offset + len(a.word) - 1)
-    w = [a.bead(k) for k in range(lo, hi + 1)]
-    w[i - lo], w[j - lo] = w[j - lo], w[i - lo]
-    return Abacus(tuple(w), lo)
-
-
 def remove_border_strip(a: Abacus, h: Hook) -> Abacus:
-    """Remove the strip by swapping the hook's bead pair; result re-canonicalized."""
+    """Remove the strip by XOR-ing the hook's two bits of the bead mask; canonical."""
     if a.bead(h.start) != 0 or a.bead(h.end) != 1:
         raise ValueError(f"{h} is not a hook of {a}")
-    return canonicalize(swap(a, h.start, h.end).word)
+    i = h.start - a.offset
+    w = bead_mask(a) ^ (1 << i) ^ (1 << (i + h.length))
+    return canonicalize((w >> k) & 1 for k in range(w.bit_length()))
 
 
 @dataclass(frozen=True)
@@ -224,40 +208,52 @@ def quotient(a: Abacus, m: int) -> QuotientView:
     return QuotientView(m, base, raw, tuple(canonicalize(sub) for sub in raw))
 
 
+def _runners(word, m: int) -> list[list[int]]:
+    """Bead levels per runner, increasing: index i is level i // m of runner i % m."""
+    runners: list[list[int]] = [[] for _ in range(m)]
+    for i in [i for i, b in enumerate(word) if b]:
+        runners[i % m].append(i // m)
+    return runners
+
+
+def _runner_partition(levels: list[int]) -> Partition:
+    """The partition of one runner: each bead's level minus its rank."""
+    return tuple(p for p in reversed([l - k for k, l in enumerate(levels)]) if p)
+
+
 def tcore(parts, t: int) -> Partition:
     """The t-core: what remains after removing length-t hooks until none exist.
 
-    Computed by pushing every bead of each residue class as far left as it
-    goes; the result is independent of the removal order.
+    Computed by pushing every bead of each runner as far down as it goes; the
+    result is independent of the removal order.
     """
     if t < 1:
         raise ValueError("t must be positive")
-    qv = quotient(from_partition(parts), t)
-    subs = [sorted(sub, reverse=True) for sub in qv.raw]
-    w: list[int] = []
-    for level in range(len(subs[0])):
-        for c in range(t):
-            w.append(subs[c][level])
-    return to_partition(canonicalize(w))
+    w = 0
+    for c, levels in enumerate(_runners(from_partition(parts).word, t)):
+        # bits c, c + t, ..., c + t*(k-1) for the k beads of runner c
+        w |= ((1 << t * len(levels)) - 1) // ((1 << t) - 1) << c
+    return mask_partition(w)
 
 
-def aligned_windows(a: Abacus, a2: Abacus, m: int) -> tuple[list[int], list[int]]:
-    """Embed both abaci in one ambient index range of length a multiple of m.
+def _aligned_runners(a: Abacus, a2: Abacus, m: int):
+    """Runner levels of both windows in one index frame, a2 given as many beads as a.
 
-    The second window is shifted so its bead count matches the first, which is
-    the alignment produced by removing border strips; raises UnreachableError
-    when the counts cannot be matched.
+    Removing m-hooks keeps every bead on its runner and at its rank there and
+    only moves beads down, so a2 is reachable from a iff every runner holds as
+    many beads in both and no bead of a2 sits above the bead of the same rank
+    in a; raises UnreachableError otherwise.
     """
-    w1 = trim_word(a.word)
-    w2 = trim_word(a2.word)
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    w1, w2 = trim_word(a.word), trim_word(a2.word)
+    # leading beads that give a2 as many as a; if negative, a runner count differs
     shift = sum(w1) - sum(w2)
-    if shift < 0:
-        raise UnreachableError("target has more beads than the source window")
-    width = max(len(w1), shift + len(w2))
-    width += (-width) % m
-    full1 = list(w1) + [0] * (width - len(w1))
-    full2 = [1] * shift + list(w2) + [0] * (width - shift - len(w2))
-    return full1, full2
+    r1, r2 = _runners(w1, m), _runners((1,) * shift + w2, m)
+    for x, y in zip(r1, r2):
+        if len(x) != len(y) or any(l2 > l1 for l1, l2 in zip(x, y)):
+            raise UnreachableError(f"{a2} is not reachable from {a} by {m}-hooks")
+    return r1, r2
 
 
 def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int]]:
@@ -266,22 +262,8 @@ def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int
     Requires a2 to be reachable from a by removing hooks of length m; the
     shapes' sizes sum to the number of removed hooks.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    w1, w2 = aligned_windows(a, a2, m)
     result = []
-    for c in range(m):
-        sub1, sub2 = w1[c::m], w2[c::m]
-        if sum(sub1) != sum(sub2):
-            raise UnreachableError(
-                f"residue {c} bead counts differ; not reachable by length-{m} strips"
-            )
-        p1 = to_partition(canonicalize(sub1))
-        p2 = to_partition(canonicalize(sub2))
-        if len(p2) > len(p1) or any(t > p1[i] for i, t in enumerate(p2)):
-            raise UnreachableError(
-                f"residue {c} diagram {p2} not contained in {p1}"
-            )
-        shape = SkewShape(p1, p2)
+    for x, y in zip(*_aligned_runners(a, a2, m)):
+        shape = SkewShape(_runner_partition(x), _runner_partition(y))
         result.append((shape, shape.size))
     return result

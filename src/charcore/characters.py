@@ -100,7 +100,7 @@ class CharacterTable:
     rows: tuple[tuple[int, ...], ...]
 
 
-def build_table(n: int, threads: int = 1, cap: int = TABLE_CAP) -> CharacterTable:
+def build_table(n: int, threads: int = 1) -> CharacterTable:
     """Compute the full character table, one class column at a time.
 
     Columns are independent, so they may be farmed out to worker processes;
@@ -108,8 +108,8 @@ def build_table(n: int, threads: int = 1, cap: int = TABLE_CAP) -> CharacterTabl
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise SizeCapError(f"table size capped at n <= {cap}, got {n}")
+    if n > TABLE_CAP:
+        raise SizeCapError(f"table size capped at n <= {TABLE_CAP}, got {n}")
     parts = partitions_of(n)
     if threads > 1 and len(parts) >= 8:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -9,13 +9,14 @@ divisibility directly, without evaluating the character.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .abacus import (
-    aligned_windows,
+    _aligned_runners,
     bead_mask,
     from_partition,
     hook_length_mask,
@@ -194,16 +195,14 @@ class VerifyReport:
         return asdict(self)
 
 
-def verify_combine_congruence(
-    n: int, cfg: CombineConfig, cap: int = CONGRUENCE_CAP
-) -> VerifyReport:
+def verify_combine_congruence(n: int, cfg: CombineConfig) -> VerifyReport:
     """Exhaust every applicable combine step at size n against every row.
 
     For each pair (mu, nu) related by one rewrite and every lambda, the two
     character values must agree modulo p**r.
     """
-    if n > cap:
-        raise SizeCapError(f"congruence sweep capped at n <= {cap}, got {n}")
+    if n > CONGRUENCE_CAP:
+        raise SizeCapError(f"congruence sweep capped at n <= {CONGRUENCE_CAP}, got {n}")
     report = VerifyReport("combine", {"n": n, "p": cfg.p, "r": cfg.r})
     rows = partitions_of(n)
     columns: dict[Partition, list[int]] = {}
@@ -300,33 +299,26 @@ def epsilon(lam, lam2, m: int) -> int:
     """Common sign of every hook sequence of length m from lam down to lam2.
 
     Removing a hook moves one bead m places down, past `height` beads, and
-    keeps its rank among the beads of its residue mod m.  So the heights sum,
-    mod 2, to the change in the number of bead pairs that index order and
-    residue order rank differently.  Raises UnreachableError when no sequence
-    exists.
+    keeps its rank among the beads of its runner.  So the heights sum, mod 2,
+    to the change in the number of bead pairs that index order and runner
+    order rank differently.  Raises UnreachableError when no sequence exists.
     """
-    lam = check_partition(lam)
-    lam2 = check_partition(lam2)
-    diff = sum(lam) - sum(lam2)
-    if diff < 0 or diff % m:
-        raise UnreachableError(
-            f"size difference {diff} is not a non-negative multiple of {m}"
-        )
-    windows = aligned_windows(from_partition(lam), from_partition(lam2), m)
-    for c in range(m):
-        # reachable iff each residue keeps its bead count and no bead of lam2
-        # sits above the bead of the same rank in lam
-        beads, beads2 = ([i for i, b in enumerate(w[c::m]) if b] for w in windows)
-        if len(beads) != len(beads2) or any(y > x for x, y in zip(beads, beads2)):
-            raise UnreachableError(f"{lam2} is not reachable from {lam} by {m}-hooks")
-    parity = 0
-    for word in windows:
-        below = [0] * m  # beads seen so far, per residue
-        for i, bead in enumerate(word):
-            if bead:
-                parity ^= sum(below[i % m + 1 :]) & 1
-                below[i % m] += 1
-    return -1 if parity else 1
+    r1, r2 = _aligned_runners(from_partition(lam), from_partition(lam2), m)
+    return -1 if _crossings(r1) ^ _crossings(r2) else 1
+
+
+def _crossings(runners: list[list[int]]) -> int:
+    """Parity of the bead pairs whose index order and runner order disagree.
+
+    A bead at level x of runner c comes after a bead at level y of a later
+    runner iff y < x.
+    """
+    return sum(
+        bisect_left(later, x)
+        for c, levels in enumerate(runners)
+        for later in runners[c + 1 :]
+        for x in levels
+    ) & 1
 
 
 @dataclass(frozen=True)
@@ -449,9 +441,7 @@ def verify_lemma62(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
     return report
 
 
-def verify_prop_pm1(
-    lam, m: int, cfg: CombineConfig, taus: Iterable[Partition] | None = None
-) -> VerifyReport:
+def verify_prop_pm1(lam, m: int, cfg: CombineConfig) -> VerifyReport:
     """Check the p-divisible expansion of one core row.
 
     Removing p**(r-1) strips of length m must aggregate into coefficients all
@@ -492,10 +482,7 @@ def verify_prop_pm1(
                 "p": cfg.p,
             },
         )
-    if taus is None:
-        taus = partitions_of(n - strip_total)
-    for tau in taus:
-        tau = check_partition(tau)
+    for tau in partitions_of(n - strip_total):
         mu = tuple(sorted(tau + (m,) * count, reverse=True))
         lhs = chi(lam, mu)
         rhs = sum(c * chi(lam2, tau) for lam2, c in coeffs.items())

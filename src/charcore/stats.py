@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from .abacus import hook_length_mask
 from .characters import CharacterTable, build_table
@@ -27,6 +28,7 @@ from .partitions import (
 
 PPOWER_CAP = 10**5
 RESTRICTED_CAP = 2000
+DELTA_DPS = 30  # significant digits of the reported Delta
 
 
 @dataclass(frozen=True)
@@ -94,20 +96,18 @@ def _ppower_table(p: int, kmax: int) -> list[int]:
     return dp
 
 
-def ppower_count(p: int, k: int, cap: int = PPOWER_CAP) -> int:
+def ppower_count(p: int, k: int) -> int:
     """Number of partitions of k into powers of p (1 for k = 0)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > cap:
-        raise SizeCapError(f"capped at k <= {cap}, got {k}")
+    if k > PPOWER_CAP:
+        raise SizeCapError(f"capped at k <= {PPOWER_CAP}, got {k}")
     return _ppower_table(p, k)[k]
 
 
-def ppower_count_restricted(
-    p: int, r: int, s: int, k: int, cap: int = RESTRICTED_CAP
-) -> int:
+def ppower_count_restricted(p: int, r: int, s: int, k: int) -> int:
     """Partitions of k into p-powers whose reduction avoids levels >= s.
 
     A partition counts when the fixpoint of the combining rewrite has fewer
@@ -117,8 +117,8 @@ def ppower_count_restricted(
         raise ValueError(f"p must be prime, got {p}")
     if r < 1 or s < 0 or k < 0:
         raise ValueError("r must be positive and s, k nonnegative")
-    if k > cap:
-        raise SizeCapError(f"capped at k <= {cap}, got {k}")
+    if k > RESTRICTED_CAP:
+        raise SizeCapError(f"capped at k <= {RESTRICTED_CAP}, got {k}")
     return restricted_counts_table(p, r, s, k)[k]
 
 
@@ -229,21 +229,21 @@ def _threshold(ctx, n: int, cfg: CombineConfig):
     )
 
 
+# interval context of the escalation, kept apart from the global `mpmath.iv`
+_IV = MPIntervalContext()
+
+
 def exceeds_threshold(value: int, n: int, cfg: CombineConfig) -> bool:
     """Rigorously decide value > (1 + 1/(6q)) * sqrt(6)/(2 pi) * sqrt(n) * log n."""
-    saved = mpmath.iv.dps
-    try:
-        for dps in (40, 80, 160, 320):
-            mpmath.iv.dps = dps
-            thr = _threshold(mpmath.iv, n, cfg)
-            v = mpmath.iv.mpf(value)
-            if v > thr:
-                return True
-            if v < thr:
-                return False
-        raise RuntimeError(f"cannot separate {value} from the threshold")
-    finally:
-        mpmath.iv.dps = saved
+    for dps in (40, 80, 160, 320):
+        _IV.dps = dps
+        thr = _threshold(_IV, n, cfg)
+        v = _IV.mpf(value)
+        if v > thr:
+            return True
+        if v < thr:
+            return False
+    raise RuntimeError(f"cannot separate {value} from the threshold")
 
 
 def prop4_threshold(n: int, cfg: CombineConfig, dps: int = 50):
@@ -322,7 +322,6 @@ def lemma91_delta(
     cfg: CombineConfig,
     L,
     tail: float = 1e-6,
-    dps: int = 30,
 ) -> BoundCheck:
     """Numeric evaluation of the weighted deficiency sum Delta (report-only).
 
@@ -330,7 +329,7 @@ def lemma91_delta(
     geometric tail bound; all summands are nonnegative, so the reported value
     is a certified lower bound on the untruncated Delta.
     """
-    with mpmath.workdps(dps + 15):
+    with mpmath.workdps(DELTA_DPS + 15):
         x = mpmath.sqrt(6 * n) / mpmath.pi
         s = int(mpmath.floor(mpmath.log(mpmath.sqrt(n)) / (mpmath.e * cfg.q)))
         scale = cfg.p ** (cfg.r + s - 1)
@@ -353,7 +352,7 @@ def lemma91_delta(
         # smallest ell, which dominates
         lmin = ells[0]
         ratio = mpmath.exp(-mpmath.mpf(lmin) / (2 * x))
-        fp_big = generating_function_fp(cfg.p, 2 * x / lmin, dps=dps)
+        fp_big = generating_function_fp(cfg.p, 2 * x / lmin, dps=DELTA_DPS)
         kmax = 32
         while True:
             bound = len(ells) * fp_big * ratio ** (kmax + 1) / (1 - ratio)
@@ -375,15 +374,15 @@ def lemma91_delta(
                 if deficit[k]:
                     inner += deficit[k] * zk
                 zk *= z
-            delta += inner / generating_function_fp(cfg.p, x / l, dps=dps)
+            delta += inner / generating_function_fp(cfg.p, x / l, dps=DELTA_DPS)
         result = delta
         tail_str = mpmath.nstr(bound, 8)
         x_str = mpmath.nstr(x, 20)
         lower_str = mpmath.nstr(ell_lower_bound, 15)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DELTA_DPS):
         return BoundCheck(
             {"n": n, "p": cfg.p, "r": cfg.r, "s": s, "L": str(L)},
-            mpmath.nstr(+result, dps),
+            mpmath.nstr(+result, DELTA_DPS),
             "0",
             None,
             {

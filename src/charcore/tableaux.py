@@ -56,43 +56,24 @@ class SkewShape:
 
 
 def is_border_strip(shape: SkewShape) -> bool:
-    """True iff the skew diagram is edge-connected and free of 2x2 blocks."""
+    """True iff the skew diagram is edge-connected and free of 2x2 blocks.
+
+    On row spans: each nonempty row overlaps the next nonempty one in exactly
+    one column.  Rows with an empty row between them share no column, so this
+    also makes the nonempty rows consecutive.
+    """
     if shape.size == 0:
         raise ValueError("empty skew shape has no border-strip status")
-    cells = set(shape.cells())
-    for r, c in cells:
-        if {(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells:
-            return False
-    return _is_connected(cells)
+    rows = [(s, e) for s, e in shape.row_spans() if e > s]
+    return all(min(e, e2) - max(s, s2) == 1 for (s, e), (s2, e2) in zip(rows, rows[1:]))
 
 
-def _is_connected(cells: set[tuple[int, int]]) -> bool:
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        r, c = stack.pop()
-        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(cells)
-
-
-def _canonical_rows(shape: SkewShape) -> tuple[tuple[int, int], ...]:
+def _retrim(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """Memo key: nonempty row spans, shifted so the leftmost cell is in column 0.
 
     Translation-equivalent shapes share a key; empty rows impose no ordering
     constraints on fillings and are dropped.
     """
-    rows = [(s, e) for s, e in shape.row_spans() if e > s]
-    if not rows:
-        return ()
-    c0 = min(s for s, _ in rows)
-    return tuple((s - c0, e - c0) for s, e in rows)
-
-
-def _retrim(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     rows = tuple((s, e) for s, e in rows if e > s)
     if not rows:
         return ()
@@ -122,7 +103,7 @@ def count_skew_syt(shape: SkewShape) -> int:
     columns.  Computed by corner-removal recursion, memoized on the
     translation-canonical row spans.
     """
-    return _count_rows(_canonical_rows(shape))
+    return _count_rows(_retrim(tuple(shape.row_spans())))
 
 
 def count_syt(shape) -> int:
@@ -196,14 +177,16 @@ class LrExpansion(NamedTuple):
     expansion: int
 
 
-def verify_lr_expansion(shape: SkewShape, cap: int = LR_VERIFICATION_CAP) -> LrExpansion:
+def verify_lr_expansion(shape: SkewShape) -> LrExpansion:
     """Check that the skew count equals the weighted sum of straight-shape counts.
 
     Both sides are returned so a failure carries its witness.
     """
     k = shape.size
-    if k > cap:
-        raise SizeCapError(f"verification capped at size {cap}, got {k}")
+    if k > LR_VERIFICATION_CAP:
+        raise SizeCapError(
+            f"verification capped at size {LR_VERIFICATION_CAP}, got {k}"
+        )
     direct = count_skew_syt(shape)
     expansion = sum(
         count_syt(nu) * lr_coefficient(shape.outer, shape.inner, nu)

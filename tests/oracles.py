@@ -32,6 +32,16 @@ def diagram_strip_removals(lam, t):
     return out
 
 
+def diagram_tcore(lam, t):
+    """The t-core by removing length-t strips from the diagram until none is left."""
+    lam = tuple(lam)
+    while True:
+        removals = diagram_strip_removals(lam, t)
+        if not removals:
+            return lam
+        lam = removals[0][0]
+
+
 def mn_reference(lam, mu):
     """Unmemoized character recursion on diagrams, consuming smallest part first."""
     if not mu:

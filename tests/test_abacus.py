@@ -1,11 +1,11 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from charcore.abacus import (
     Abacus,
-    aligned_windows,
+    _aligned_runners,
     bead_mask,
     canonicalize,
     from_partition,
@@ -16,16 +16,29 @@ from charcore.abacus import (
     remove_border_strip,
     skew_per_residue,
     strip_removals,
-    swap,
     tcore,
     to_partition,
 )
 from charcore.errors import FormatError, UnreachableError
 from charcore.partitions import hook_lengths, partitions_of
-from oracles import diagram_strip_removals
+from oracles import diagram_strip_removals, diagram_tcore
 
 partition_lists = st.lists(st.integers(1, 9), max_size=9).map(
     lambda xs: tuple(sorted(xs, reverse=True))
+)
+
+
+def _largest_parts_up_to_60(xs):
+    """The partition of the largest entries of xs, taken while the size stays <= 60."""
+    lam = []
+    for x in sorted(xs, reverse=True):
+        if sum(lam) + x <= 60:
+            lam.append(x)
+    return tuple(lam)
+
+
+partitions_to_60 = st.lists(st.integers(1, 60), max_size=60).map(
+    _largest_parts_up_to_60
 )
 
 WORKED = (6, 5, 3, 1, 1, 1)
@@ -211,6 +224,17 @@ class TestCores:
                     if is_tcore(lam, t):
                         assert core == lam
 
+    def test_tcore_matches_diagram_removal(self):
+        for n in range(15):
+            for lam in partitions_of(n):
+                for t in range(1, 7):
+                    assert tcore(lam, t) == diagram_tcore(lam, t), (lam, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partitions_to_60, st.integers(1, 12))
+    def test_tcore_matches_diagram_removal_random(self, lam, t):
+        assert tcore(lam, t) == diagram_tcore(lam, t)
+
 
 class TestBorderStripRemoval:
     def test_worked_example(self):
@@ -222,10 +246,6 @@ class TestBorderStripRemoval:
         a = from_partition((1,))
         (h,) = hooks_of_length(a, 1)
         assert to_partition(remove_border_strip(a, h)) == ()
-
-    def test_swap_is_involution(self):
-        a = from_partition(WORKED)
-        assert swap(swap(a, 4, 9), 4, 9) == a
 
     def test_rejects_non_hook(self):
         a = from_partition(WORKED)
@@ -313,7 +333,37 @@ class TestSkewPerResidue:
         with pytest.raises(UnreachableError):
             skew_per_residue(from_partition((2,)), from_partition((1, 1)), 2)
 
+    def test_reachability_matches_diagram_removals(self):
+        # lam2 is reachable iff some chain of diagram strip removals leads there
+        from charcore.divisibility import epsilon
+
+        for n in range(9):
+            for lam in partitions_of(n):
+                a = from_partition(lam)
+                for m in (1, 2, 3):
+                    reachable, frontier = {lam}, {lam}
+                    while frontier:
+                        frontier = {
+                            res
+                            for mu in frontier
+                            for res, _ in diagram_strip_removals(mu, m)
+                        }
+                        reachable |= frontier
+                    for k in range(n + 1):
+                        for lam2 in partitions_of(k):
+                            expected = lam2 in reachable
+                            for check in (
+                                lambda: skew_per_residue(a, from_partition(lam2), m),
+                                lambda: epsilon(lam, lam2, m),
+                            ):
+                                try:
+                                    check()
+                                    found = True
+                                except UnreachableError:
+                                    found = False
+                                assert found == expected, (lam, lam2, m)
+
     def test_aligned_windows_charge(self):
         a, b = from_partition((1,)), from_partition(())
-        w1, w2 = aligned_windows(a, b, 1)
-        assert sum(w1) == sum(w2)
+        r1, r2 = _aligned_runners(a, b, 1)
+        assert sum(map(len, r1)) == sum(map(len, r2))

@@ -301,6 +301,40 @@ class TestDeterminism:
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
+                ("core", "--lambda", "[6,5,3,1,1,1]", "--t", "5", "--format", "json"),
+                "75adda385be54da47ef8ce0d12a202ca0c3e332519adbc2aceccb7cd00d3b9d1",
+            ),
+            (
+                (
+                    "core", "--lambda", "[40,35,30,25,20,15,12,10,8,5]", "--t", "7",
+                    "--format", "json",
+                ),
+                "d4ab9789f394dfb678a49eba5ae80668b07045faec29134b84faecb286544f1e",
+            ),
+            (
+                ("verify", "lemma61", "--n", "12", "--m", "2", "--hooks", "3"),
+                "63fe5ceb643c007d6d9f205d90ece4d315c95c9da11a2e922359daef22897a2e",
+            ),
+            (
+                ("verify", "factorization", "--n", "12", "--m", "3", "--hooks", "3"),
+                "5ba9b802f8addc07460eae6001a45e8fb8a0bf17eec86ec749a8a77f2b68325e",
+            ),
+            (
+                ("verify", "lemma81", "--n", "6", "--p", "2", "--r", "2"),
+                "dbed36d3042c44a7114a12b8aa161f23ce3e94efe61eb306ad613483101a3b28",
+            ),
+        ],
+    )
+    def test_core_and_residue_output_is_frozen(self, args, digest):
+        # cores, residue skews, epsilon and border-strip checks feed these
+        res = run_cli(*args)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
     def test_thread_count_invariant(self):
         outputs = {
             run_cli("table", "9", "--format", "csv", "--threads", str(t)).stdout

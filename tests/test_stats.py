@@ -221,6 +221,31 @@ class TestProp4:
         assert not exceeds_threshold(below, 10**4, cfg)
         assert exceeds_threshold(below + 1, 10**4, cfg)
 
+    def test_exceeds_threshold_keeps_global_precision(self, monkeypatch):
+        # the escalation must not touch the caller's mpmath.iv precision,
+        # not even while the threshold is being evaluated
+        import charcore.stats as stats
+
+        seen = []
+        original = stats._threshold
+
+        def spy(ctx, n, cfg):
+            seen.append(mpmath.iv.dps)
+            return original(ctx, n, cfg)
+
+        monkeypatch.setattr(stats, "_threshold", spy)
+        saved = mpmath.iv.dps
+        mpmath.iv.dps = 17
+        try:
+            cfg = CombineConfig(2, 2)
+            below = int(mpmath.floor(prop4_threshold(10**4, cfg)))
+            assert not exceeds_threshold(below, 10**4, cfg)
+            assert exceeds_threshold(below + 1, 10**4, cfg)
+            assert seen and all(dps == 17 for dps in seen)
+            assert mpmath.iv.dps == 17
+        finally:
+            mpmath.iv.dps = saved
+
     def test_min_clearing_part_is_the_smallest_that_clears(self):
         for n, (p, r) in ((2, (2, 2)), (60, (2, 2)), (2000, (2, 2)),
                           (500, (3, 2)), (1000, (2, 3)), (7, (5, 1))):

@@ -67,6 +67,28 @@ class TestBorderStrip:
         with pytest.raises(ValueError):
             is_border_strip(SkewShape((2,), (2,)))
 
+    def test_matches_components_and_squares(self):
+        # border strip = one edge-connected piece with no 2x2 block of cells
+        shapes = 0
+        for n in range(1, 12):
+            for outer in partitions_of(n):
+                for k in range(n):
+                    for inner in partitions_of(k):
+                        if len(inner) > len(outer) or any(
+                            x > outer[i] for i, x in enumerate(inner)
+                        ):
+                            continue
+                        shape = SkewShape(outer, inner)
+                        cells = set(shape.cells())
+                        square = any(
+                            {(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells
+                            for r, c in cells
+                        )
+                        expected = len(connected_components(shape)) == 1 and not square
+                        assert is_border_strip(shape) == expected, str(shape)
+                        shapes += 1
+        assert shapes == 4894
+
     def test_strip_iff_single_hook_removal(self):
         # strips of a straight shape are exactly the hook rim removals
         from charcore.abacus import from_partition, hooks_of_length
