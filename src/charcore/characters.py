@@ -20,14 +20,16 @@ from .errors import SizeCapError
 from .partitions import (
     Partition,
     check_partition,
+    conjugate,
     format_partition,
     multiplicities,
     partitions_of,
 )
-from .tableaux import count_syt
+from .tableaux import _degree_of_betas, count_syt
 
 TABLE_CAP = 26
-# chi recurses once per part of mu; this keeps the depth far from Python's limit
+# chi recurses once per part of mu above its trailing 1s; this keeps the depth
+# far from Python's limit.  It bounds neither time nor memo size.
 CHI_CAP = 500
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -43,13 +45,19 @@ def chi(lam, mu) -> int:
         )
     if sum(mu) > CHI_CAP:
         raise SizeCapError(f"chi capped at n <= {CHI_CAP}, got {sum(mu)}")
-    return _chi_mask(bead_mask(from_partition(lam)), mu, 0, [{} for _ in mu])
+    # on a tail of 1s the value is the degree of what is left of the row
+    head = mu[: len(mu) - mu.count(1)]
+    return _chi_values((bead_mask(from_partition(lam)),), head)[0]
 
 
 def _chi_mask(w: int, mu: Partition, idx: int, memo: list[dict]) -> int:
-    """chi of the row with bead mask w on mu[idx:]; memo[idx] maps w to it."""
+    """chi of the row with bead mask w on mu[idx:], then 1s for the boxes left.
+
+    memo[idx] maps w to the value.  Past the last part the value is the degree
+    of the row left, which is 1 once the row is empty.
+    """
     if idx == len(mu):
-        return 1
+        return _mask_degree(w) if w else 1
     seen = memo[idx]
     value = seen.get(w)
     if value is None:
@@ -61,21 +69,52 @@ def _chi_mask(w: int, mu: Partition, idx: int, memo: list[dict]) -> int:
     return value
 
 
+def _mask_degree(w: int) -> int:
+    """Degree of the row with bead mask w: its bead positions are its beta-numbers."""
+    betas = []
+    while w:
+        low = w & -w
+        betas.append(low.bit_length() - 1)
+        w ^= low
+    return _degree_of_betas(betas)
+
+
+def _chi_values(masks, mu: Partition) -> list[int]:
+    """chi of each row bead mask in `masks` on the class mu, with one memo."""
+    memo: list[dict] = [{} for _ in mu]
+    return [_chi_mask(w, mu, 0, memo) for w in masks]
+
+
 @lru_cache(maxsize=None)
 def _row_masks(n: int) -> tuple[int, ...]:
     """Bead masks of every row of size n in table order, encoded once."""
     return tuple(bead_mask(from_partition(lam)) for lam in partitions_of(n))
 
 
+@lru_cache(maxsize=None)
+def _conjugate_rows(n: int) -> tuple[int, ...]:
+    """Table index of the conjugate of every row of size n, in table order."""
+    parts = partitions_of(n)
+    index = {lam: i for i, lam in enumerate(parts)}
+    return tuple(index[conjugate(lam)] for lam in parts)
+
+
 def chi_column(mu) -> list[int]:
     """Character values of every row, in reverse-lex order, on the class `mu`.
 
     One memo table is shared across rows, so a full column costs little more
-    than its hardest entry.
+    than its hardest entry.  Only rows whose index is at most their
+    conjugate's are computed; chi^{lam'}(mu) = (-1)^(n - len(mu)) chi^lam(mu)
+    gives the others.
     """
     mu = check_partition(mu)
+    n = sum(mu)
+    sign = -1 if (n - len(mu)) & 1 else 1
     memo: list[dict] = [{} for _ in mu]
-    return [_chi_mask(w, mu, 0, memo) for w in _row_masks(sum(mu))]
+    column: list[int] = []
+    for i, (w, j) in enumerate(zip(_row_masks(n), _conjugate_rows(n))):
+        column.append(_chi_mask(w, mu, 0, memo) if i <= j else sign * column[j])
+    return column
 
 
 def degree(lam) -> int:

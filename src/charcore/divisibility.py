@@ -25,7 +25,7 @@ from .abacus import (
     skew_per_residue,
     strip_removals,
 )
-from .characters import chi, chi_column
+from .characters import _chi_values, chi, chi_column
 from .errors import SizeCapError, UnreachableError
 from .partitions import (
     Partition,
@@ -449,60 +449,83 @@ def verify_prop_pm1(lam, m: int, cfg: CombineConfig) -> VerifyReport:
     value on every residual class tau.
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    count = cfg.p ** (cfg.r - 1)
-    strip_total = count * m
     report = VerifyReport(
         "prop-pm1",
         {"lambda": format_partition(lam), "m": m, "p": cfg.p, "r": cfg.r},
     )
-    if strip_total > n or not is_tcore(lam, strip_total):
-        report.skipped += 1
-        return report
-    groups = enumerate_hook_sequences(lam, m, count)
-    coeffs: dict[Partition, int] = {}
-    for lam2, seqs in groups.items():
-        signs = {s.sign for s in seqs}
-        report.check(
-            len(signs) == 1,
-            {
-                "lambda": format_partition(lam),
-                "lambda2": format_partition(lam2),
-                "issue": "mixed signs",
-            },
-        )
-        c = next(iter(signs)) * len(seqs)
-        coeffs[lam2] = c
-        report.check(
-            c % cfg.p == 0,
-            {
-                "lambda": format_partition(lam),
-                "lambda2": format_partition(lam2),
-                "coefficient": c,
-                "p": cfg.p,
-            },
-        )
-    for tau in partitions_of(n - strip_total):
-        mu = tuple(sorted(tau + (m,) * count, reverse=True))
-        lhs = chi(lam, mu)
-        rhs = sum(c * chi(lam2, tau) for lam2, c in coeffs.items())
-        report.check(
-            lhs == rhs,
-            {
-                "lambda": format_partition(lam),
-                "tau": format_partition(tau),
-                "chi": str(lhs),
-                "expansion": str(rhs),
-            },
-        )
-    return report
+    return _prop_pm1((lam,), sum(lam), m, cfg, report)
 
 
 def verify_prop_pm1_sweep(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
     """Run the expansion check over every suitable core row of size n."""
     report = VerifyReport("prop-pm1", {"n": n, "m": m, "p": cfg.p, "r": cfg.r})
-    for lam in partitions_of(n):
-        report.merge(verify_prop_pm1(lam, m, cfg))
+    return _prop_pm1(partitions_of(n), n, m, cfg, report)
+
+
+def _prop_pm1(
+    rows: Sequence[Partition], n: int, m: int, cfg: CombineConfig, report: VerifyReport
+) -> VerifyReport:
+    """The expansion check of every core row among `rows`, all of size n.
+
+    Character values are read from shared columns: once per tau, the core rows
+    on tau + m^count and the union of the groups' targets on tau, one memo
+    each.  Checks are then made row by row, groups before classes, so the
+    tallies and the first witness are those of checking one row at a time.
+    """
+    count = cfg.p ** (cfg.r - 1)
+    strip_total = count * m
+    cores: list[tuple[Partition, list[tuple[Partition, bool, int]]]] = []
+    targets: dict[Partition, int] = {}
+    for lam in rows:
+        if strip_total > n or not is_tcore(lam, strip_total):
+            report.skipped += 1
+            continue
+        groups = []
+        for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
+            signs = {s.sign for s in seqs}
+            groups.append((lam2, len(signs) == 1, next(iter(signs)) * len(seqs)))
+            targets.setdefault(lam2, len(targets))
+        cores.append((lam, groups))
+    if not cores:
+        return report
+    taus = partitions_of(n - strip_total)
+    core_masks = [bead_mask(from_partition(lam)) for lam, _ in cores]
+    target_masks = [bead_mask(from_partition(lam2)) for lam2 in targets]
+    lhs = [
+        _chi_values(core_masks, tuple(sorted(tau + (m,) * count, reverse=True)))
+        for tau in taus
+    ]
+    rhs = [_chi_values(target_masks, tau) for tau in taus]
+    for i, (lam, groups) in enumerate(cores):
+        for lam2, one_sign, c in groups:
+            report.check(
+                one_sign,
+                {
+                    "lambda": format_partition(lam),
+                    "lambda2": format_partition(lam2),
+                    "issue": "mixed signs",
+                },
+            )
+            report.check(
+                c % cfg.p == 0,
+                {
+                    "lambda": format_partition(lam),
+                    "lambda2": format_partition(lam2),
+                    "coefficient": c,
+                    "p": cfg.p,
+                },
+            )
+        for t, tau in enumerate(taus):
+            expansion = sum(c * rhs[t][targets[lam2]] for lam2, _, c in groups)
+            report.check(
+                lhs[t][i] == expansion,
+                {
+                    "lambda": format_partition(lam),
+                    "tau": format_partition(tau),
+                    "chi": str(lhs[t][i]),
+                    "expansion": str(expansion),
+                },
+            )
     return report
 
 

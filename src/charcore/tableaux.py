@@ -12,7 +12,6 @@ from .partitions import (
     Partition,
     check_partition,
     format_partition,
-    hook_lengths,
     partitions_of,
 )
 
@@ -107,14 +106,25 @@ def count_skew_syt(shape: SkewShape) -> int:
 
 
 def count_syt(shape) -> int:
-    """Degree f of the straight shape, by the hook-length formula."""
+    """Degree f of the straight shape, by the hook-length formula on beta-numbers."""
     shape = check_partition(shape)
-    n = sum(shape)
-    prod = 1
-    for row in hook_lengths(shape):
-        for h in row:
-            prod *= h
-    return factorial(n) // prod
+    return _degree_of_betas([p + i for i, p in enumerate(reversed(shape))])
+
+
+def _degree_of_betas(betas) -> int:
+    """Degree f of the partition with the increasing beta-numbers `betas`.
+
+    The i-th smallest of k beta-numbers is a part plus i, so the parts sum to
+    N = sum(betas) - k(k-1)/2, and the hook-length formula reads
+    f = N! * prod_{i<j} (b_j - b_i) / prod b_i!.
+    """
+    num = factorial(sum(betas) - len(betas) * (len(betas) - 1) // 2)
+    den = 1
+    for j, b in enumerate(betas):
+        den *= factorial(b)
+        for a in betas[:j]:
+            num *= b - a
+    return num // den
 
 
 def lr_coefficient(outer, inner, content) -> int:

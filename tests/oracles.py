@@ -307,3 +307,75 @@ def linear_scan_sample(n, seed):
                 break
             u -= c
     return tuple(parts)
+
+
+def prop_pm1_per_value(lam, m, cfg, report=None):
+    """The prop-pm1 check of one row, one fresh `chi` call per character value.
+
+    Adds to `report` (a new single-row report when None) in the order the
+    library promises: the row's groups, then its classes tau.
+    """
+    from charcore.abacus import is_tcore
+    from charcore.characters import chi
+    from charcore.divisibility import VerifyReport, enumerate_hook_sequences
+    from charcore.partitions import format_partition, partitions_of
+
+    lam = tuple(lam)
+    n = sum(lam)
+    if report is None:
+        report = VerifyReport(
+            "prop-pm1",
+            {"lambda": format_partition(lam), "m": m, "p": cfg.p, "r": cfg.r},
+        )
+    count = cfg.p ** (cfg.r - 1)
+    strip_total = count * m
+    if strip_total > n or not is_tcore(lam, strip_total):
+        report.skipped += 1
+        return report
+    coeffs = {}
+    for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
+        signs = {s.sign for s in seqs}
+        report.check(
+            len(signs) == 1,
+            {
+                "lambda": format_partition(lam),
+                "lambda2": format_partition(lam2),
+                "issue": "mixed signs",
+            },
+        )
+        c = next(iter(signs)) * len(seqs)
+        coeffs[lam2] = c
+        report.check(
+            c % cfg.p == 0,
+            {
+                "lambda": format_partition(lam),
+                "lambda2": format_partition(lam2),
+                "coefficient": c,
+                "p": cfg.p,
+            },
+        )
+    for tau in partitions_of(n - strip_total):
+        mu = tuple(sorted(tau + (m,) * count, reverse=True))
+        lhs = chi(lam, mu)
+        rhs = sum(c * chi(lam2, tau) for lam2, c in coeffs.items())
+        report.check(
+            lhs == rhs,
+            {
+                "lambda": format_partition(lam),
+                "tau": format_partition(tau),
+                "chi": str(lhs),
+                "expansion": str(rhs),
+            },
+        )
+    return report
+
+
+def prop_pm1_sweep_per_value(n, m, cfg):
+    """The prop-pm1 sweep of size n, one row after another, one value at a time."""
+    from charcore.divisibility import VerifyReport
+    from charcore.partitions import partitions_of
+
+    report = VerifyReport("prop-pm1", {"n": n, "m": m, "p": cfg.p, "r": cfg.r})
+    for lam in partitions_of(n):
+        prop_pm1_per_value(lam, m, cfg, report)
+    return report

@@ -20,7 +20,7 @@ from charcore.characters import (
     write_table_json,
 )
 from charcore.errors import SizeCapError
-from charcore.partitions import conjugate, partitions_of
+from charcore.partitions import conjugate, hook_lengths, partitions_of
 from oracles import mn_reference
 
 
@@ -77,6 +77,39 @@ class TestChi:
     def test_deepest_recursion_under_the_cap(self):
         assert chi((CHI_CAP,), (1,) * CHI_CAP) == 1
         assert chi((1,) * CHI_CAP, (1,) * CHI_CAP) == 1
+        # no tail of 1s, so this recurses once per part
+        half = CHI_CAP // 2
+        assert chi((CHI_CAP,), (2,) * half) == 1
+        assert chi((1,) * CHI_CAP, (2,) * half) == (-1) ** half
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.sampled_from(partitions_of(n)),
+                st.integers(1, n).flatmap(
+                    lambda k: st.sampled_from(partitions_of(n - k)).map(
+                        lambda head: head + (1,) * k
+                    )
+                ),
+            )
+        )
+    )
+    def test_tail_of_ones_against_diagram_recursion(self, pair):
+        lam, mu = pair
+        assert chi(lam, mu) == mn_reference(lam, mu)
+
+    def test_all_ones_class_is_the_hook_length_degree(self):
+        staircase = tuple(range(20, 0, -1))
+        hooks = math.prod(h for row in hook_lengths(staircase) for h in row)
+        assert chi(staircase, (1,) * 210) == math.factorial(210) // hooks
+
+    def test_table_matches_single_values(self, tables):
+        # chi never fills a row from its conjugate, so this checks the fill
+        for n in range(1, 13):
+            table = tables.get(n)
+            for lam, row in zip(table.partitions, table.rows):
+                assert row == tuple(chi(lam, mu) for mu in table.partitions)
 
     def test_conjugation_symmetry(self, tables):
         for n in range(1, 13):

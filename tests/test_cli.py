@@ -327,10 +327,23 @@ class TestDeterminism:
                 ("verify", "lemma81", "--n", "6", "--p", "2", "--r", "2"),
                 "dbed36d3042c44a7114a12b8aa161f23ce3e94efe61eb306ad613483101a3b28",
             ),
+            (
+                ("table", "20", "--format", "csv"),
+                "9b2f8603f38071bd0da7edf7bce23d08b16375ec8daa0a7f342d2a15116949a1",
+            ),
+            (
+                ("verify", "prop-pm1", "--n", "20", "--m", "3", "--p", "2", "--r", "2"),
+                "fb61cd4d552bf4f9a481063a68933073a84c47f196d05a70978829dec3ecc94f",
+            ),
+            (
+                ("verify", "prop-pm1", "--n", "16", "--m", "2", "--p", "2", "--r", "3"),
+                "b9cedc32b6e82f6ff6f850b8ad1ccbfba55459533554a55602fd6e6f44c6a73c",
+            ),
         ],
     )
     def test_core_and_residue_output_is_frozen(self, args, digest):
-        # cores, residue skews, epsilon and border-strip checks feed these
+        # cores, residue skews, epsilon and border-strip checks feed these, and
+        # the last three the conjugate-row fill and the shared prop-pm1 columns
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

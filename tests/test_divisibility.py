@@ -4,6 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charcore.characters as characters
+import charcore.divisibility as divisibility
+from charcore.abacus import bead_mask, from_partition, is_tcore
 from charcore.characters import chi
 from charcore.divisibility import (
     CombineConfig,
@@ -25,8 +28,12 @@ from charcore.divisibility import (
     verify_theorem3,
 )
 from charcore.errors import SizeCapError, UnreachableError
-from charcore.partitions import multiplicities, partitions_of
-from oracles import random_order_reduce
+from charcore.partitions import format_partition, multiplicities, partitions_of
+from oracles import (
+    prop_pm1_per_value,
+    prop_pm1_sweep_per_value,
+    random_order_reduce,
+)
 
 CFGS = [CombineConfig(2, 2), CombineConfig(2, 3), CombineConfig(3, 2)]
 
@@ -281,6 +288,46 @@ class TestPropPm1:
             for m in (1, 2):
                 report = verify_prop_pm1_sweep(n, m, cfg)
                 assert report.ok, report.as_dict()
+
+    def test_matches_per_value_checks(self):
+        cfgs = [CombineConfig(*c) for c in ((2, 1), (2, 2), (3, 1), (2, 3))]
+        for n, m, cfg in product(range(1, 15), (1, 2, 3), cfgs):
+            swept = verify_prop_pm1_sweep(n, m, cfg)
+            assert swept.as_dict() == prop_pm1_sweep_per_value(n, m, cfg).as_dict()
+            for lam in partitions_of(n):
+                single = verify_prop_pm1(lam, m, cfg)
+                assert single.as_dict() == prop_pm1_per_value(lam, m, cfg).as_dict()
+
+    def test_class_checks_of_a_row_come_before_the_next_row(self, monkeypatch):
+        # the first core row gets a wrong value, the last a wrong coefficient
+        n, m, cfg = 12, 2, CombineConfig(2, 2)
+        cores = [lam for lam in partitions_of(n) if is_tcore(lam, 4)]
+        first, last = cores[0], cores[-1]
+        bad = bead_mask(from_partition(first))
+        exact = characters._chi_mask
+        sequences = divisibility.enumerate_hook_sequences
+
+        def wrong(w, mu, idx, memo):
+            value = exact(w, mu, idx, memo)
+            return value + 1 if idx == 0 and w == bad else value
+
+        def one_lost(lam, m, count):
+            groups = sequences(lam, m, count)
+            if lam == last:
+                lam2 = next(iter(groups))
+                groups[lam2] = groups[lam2][1:]
+            return groups
+
+        monkeypatch.setattr(characters, "_chi_mask", wrong)
+        monkeypatch.setattr(divisibility, "enumerate_hook_sequences", one_lost)
+        swept = verify_prop_pm1_sweep(n, m, cfg)
+        assert swept.witness["lambda"] == format_partition(first)
+        assert "tau" in swept.witness
+        assert swept.as_dict() == prop_pm1_sweep_per_value(n, m, cfg).as_dict()
+        for lam in (first, last):
+            single = verify_prop_pm1(lam, m, cfg)
+            assert single.violated
+            assert single.as_dict() == prop_pm1_per_value(lam, m, cfg).as_dict()
 
 
 class TestDivisibilityTheorem:
