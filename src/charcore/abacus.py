@@ -28,7 +28,6 @@ a runner's partition has one part per bead, its level minus its rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FormatError, UnreachableError
 from .partitions import Partition, check_partition
@@ -160,8 +159,7 @@ def is_tcore(parts, t: int) -> bool:
     return not (w >> t) & ~w
 
 
-@lru_cache(maxsize=None)
-def hook_length_mask(parts: Partition) -> int:
+def hook_length_mask(parts) -> int:
     """Bitmask with bit t set iff the partition has a hook of length t."""
     w = bead_mask(from_partition(parts))
     return sum(1 << t for t in range(1, w.bit_length()) if (w >> t) & ~w)

@@ -248,19 +248,19 @@ def _cmd_verify(args, out) -> int:
     if lemma in ("combine", "lemma62", "prop-pm1", "theorem3", "lemma81"):
         _require(args, "p", "r")
         cfg = CombineConfig(args.p, args.r)
+    if lemma in ("lemma61", "lemma62", "factorization", "prop-pm1"):
+        _require(args, "m")
+        if args.m < 1:
+            raise FormatError(f"--m must be at least 1, got {args.m}")
     if lemma == "combine":
         report = divisibility.verify_combine_congruence(args.n, cfg)
     elif lemma == "lemma61":
-        _require(args, "m")
         report = divisibility.verify_lemma61(args.n, args.m, args.hooks)
     elif lemma == "lemma62":
-        _require(args, "m")
         report = divisibility.verify_lemma62(args.n, args.m, cfg)
     elif lemma == "factorization":
-        _require(args, "m")
         report = divisibility.verify_factorization(args.n, args.m, args.hooks)
     elif lemma == "prop-pm1":
-        _require(args, "m")
         report = divisibility.verify_prop_pm1_sweep(args.n, args.m, cfg)
     elif lemma == "theorem3":
         report = divisibility.verify_theorem3(args.n, cfg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import combinations, product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -184,13 +185,6 @@ class VerifyReport:
             if self.witness is None:
                 self.witness = witness
 
-    def merge(self, other: "VerifyReport") -> None:
-        self.checked += other.checked
-        self.skipped += other.skipped
-        self.violated += other.violated
-        if self.witness is None:
-            self.witness = other.witness
-
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -205,13 +199,7 @@ def verify_combine_congruence(n: int, cfg: CombineConfig) -> VerifyReport:
         raise SizeCapError(f"congruence sweep capped at n <= {CONGRUENCE_CAP}, got {n}")
     report = VerifyReport("combine", {"n": n, "p": cfg.p, "r": cfg.r})
     rows = partitions_of(n)
-    columns: dict[Partition, list[int]] = {}
-
-    def column(mu: Partition) -> list[int]:
-        if mu not in columns:
-            columns[mu] = chi_column(mu)
-        return columns[mu]
-
+    column = cache(chi_column)
     for mu in rows:
         applicable = [m for m, a in multiplicities(mu).items() if a >= cfg.q]
         if not applicable:
@@ -419,22 +407,42 @@ def verify_factorization(n: int, m: int, max_hooks: int = 4) -> VerifyReport:
     return report
 
 
-def verify_lemma62(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
-    """For cores, every group count of p**(r-1) removals is a multiple of p."""
+def _core_groups(
+    rows: Sequence[Partition], n: int, m: int, cfg: CombineConfig, report: VerifyReport
+) -> list[tuple[Partition, list[tuple[Partition, bool, int]]]]:
+    """Each core row among `rows` (all of size n) with its groups, in DFS order.
+
+    A row is a core when it has no hook of length m * p**(r-1); every other
+    row is counted as skipped on `report`.  A group gathers the ways of
+    removing p**(r-1) strips of length m that end at one target and is kept as
+    (target, whether all its signs agree, sign * count).
+    """
     count = cfg.p ** (cfg.r - 1)
-    report = VerifyReport("lemma62", {"n": n, "m": m, "p": cfg.p, "r": cfg.r})
-    for lam in partitions_of(n):
+    cores = []
+    for lam in rows:
         if count * m > n or not is_tcore(lam, count * m):
             report.skipped += 1
             continue
+        groups = []
         for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
+            signs = {s.sign for s in seqs}
+            groups.append((lam2, len(signs) == 1, next(iter(signs)) * len(seqs)))
+        cores.append((lam, groups))
+    return cores
+
+
+def verify_lemma62(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
+    """For cores, every group count of p**(r-1) removals is a multiple of p."""
+    report = VerifyReport("lemma62", {"n": n, "m": m, "p": cfg.p, "r": cfg.r})
+    for lam, groups in _core_groups(partitions_of(n), n, m, cfg, report):
+        for lam2, _, c in groups:
             report.check(
-                len(seqs) % cfg.p == 0,
+                c % cfg.p == 0,
                 {
                     "lambda": format_partition(lam),
                     "lambda2": format_partition(lam2),
                     "m": m,
-                    "count": len(seqs),
+                    "count": abs(c),
                     "p": cfg.p,
                 },
             )
@@ -473,22 +481,14 @@ def _prop_pm1(
     tallies and the first witness are those of checking one row at a time.
     """
     count = cfg.p ** (cfg.r - 1)
-    strip_total = count * m
-    cores: list[tuple[Partition, list[tuple[Partition, bool, int]]]] = []
-    targets: dict[Partition, int] = {}
-    for lam in rows:
-        if strip_total > n or not is_tcore(lam, strip_total):
-            report.skipped += 1
-            continue
-        groups = []
-        for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-            signs = {s.sign for s in seqs}
-            groups.append((lam2, len(signs) == 1, next(iter(signs)) * len(seqs)))
-            targets.setdefault(lam2, len(targets))
-        cores.append((lam, groups))
+    cores = _core_groups(rows, n, m, cfg, report)
     if not cores:
         return report
-    taus = partitions_of(n - strip_total)
+    targets: dict[Partition, int] = {}
+    for _, groups in cores:
+        for lam2, _, _ in groups:
+            targets.setdefault(lam2, len(targets))
+    taus = partitions_of(n - count * m)
     core_masks = [bead_mask(from_partition(lam)) for lam, _ in cores]
     target_masks = [bead_mask(from_partition(lam2)) for lam2 in targets]
     lhs = [
@@ -539,12 +539,13 @@ class TheoremCheck:
 
 def _sum_sets(
     mu, cfg: CombineConfig
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each r-set of part sizes of mu, with its sorted combined lengths.
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Each r-set of part sizes of mu, its sorted combined lengths and their bitmask.
 
     A size qualifies when it occurs at least p**(r-1) times in mu; the combined
     lengths of m_1..m_r are the sums k_1 m_1 + ... + k_r m_r with every k_i at
-    most p**(r-1) and some k_i equal to it.
+    most p**(r-1) and some k_i equal to it.  Bit t of the mask is set iff t is
+    a combined length.
     """
     reps = cfg.p ** (cfg.r - 1)
     candidates = sorted(m for m, a in multiplicities(mu).items() if a >= reps)
@@ -554,16 +555,16 @@ def _sum_sets(
             for ks in product(range(reps + 1), repeat=cfg.r)
             if max(ks) == reps
         }
-        yield sizes, tuple(sorted(sums))
+        yield sizes, tuple(sorted(sums)), sum(1 << t for t in sums)
 
 
-def _hypothesis(lam, mu, cfg: CombineConfig):
-    """Find part sizes m_1..m_r of mu making lam a core for all combined lengths."""
-    mask = hook_length_mask(lam)
-    for sizes, sums in _sum_sets(mu, cfg):
-        if all(not (mask >> t) & 1 for t in sums):
-            return True, sizes, sums
-    return False, None, None
+def _hypothesis(mask: int, sum_sets: Iterable[tuple]):
+    """The first of `sum_sets` whose combined lengths are no hook length; else None.
+
+    `mask` is a row's `hook_length_mask`: the row is a core for every combined
+    length of a set exactly when the two masks share no bit.
+    """
+    return next((s for s in sum_sets if not mask & s[2]), None)
 
 
 def check_divisibility_theorem(lam, mu, cfg: CombineConfig) -> TheoremCheck:
@@ -576,9 +577,10 @@ def check_divisibility_theorem(lam, mu, cfg: CombineConfig) -> TheoremCheck:
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("lambda and mu must partition the same integer")
-    holds, sizes, sums = _hypothesis(lam, mu, cfg)
+    hit = _hypothesis(hook_length_mask(lam), _sum_sets(mu, cfg))
+    sizes, sums, _ = hit or (None, None, 0)
     divides = chi(lam, mu) % cfg.q == 0
-    return TheoremCheck(holds, divides, sizes, sums)
+    return TheoremCheck(hit is not None, divides, sizes, sums)
 
 
 def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
@@ -587,17 +589,13 @@ def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
     rows = partitions_of(n)
     masks = [hook_length_mask(lam) for lam in rows]
     for mu in rows:
-        sum_sets = [sums for _, sums in _sum_sets(mu, cfg)]
+        sum_sets = list(_sum_sets(mu, cfg))
         if not sum_sets:
             report.skipped += len(rows)
             continue
         column: list[int] | None = None
         for i, lam in enumerate(rows):
-            mask = masks[i]
-            holds = any(
-                all(not (mask >> t) & 1 for t in sums) for sums in sum_sets
-            )
-            if not holds:
+            if _hypothesis(masks[i], sum_sets) is None:
                 report.skipped += 1
                 continue
             if column is None:
@@ -642,9 +640,9 @@ def theorem1_pipeline(lam, mu, cfg: CombineConfig) -> PipelineResult:
     if sum(lam) != sum(mu):
         raise ValueError("lambda and mu must partition the same integer")
     reduced = reduce_partition(mu, cfg).output
-    holds, sizes, sums = _hypothesis(lam, reduced, cfg)
-    if holds:
-        return PipelineResult(True, True, reduced, sizes, sums)
+    hit = _hypothesis(hook_length_mask(lam), _sum_sets(reduced, cfg))
+    if hit:
+        return PipelineResult(True, True, reduced, *hit[:2])
     divides = chi(lam, reduced) % cfg.q == 0
     return PipelineResult(divides, False, reduced, None, None)
 

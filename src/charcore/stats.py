@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
-from .abacus import hook_length_mask
+from .abacus import is_tcore
 from .characters import CharacterTable, build_table
 from .divisibility import CombineConfig, is_prime, reduce_partition
 from .errors import RangeError, SizeCapError
@@ -77,9 +77,7 @@ def count_non_tcores(n: int, t: int) -> int:
     """Exact number of partitions of n having some hook of length t."""
     if t < 1:
         raise ValueError("t must be positive")
-    count = sum(
-        1 for lam in partitions_of(n) if (hook_length_mask(lam) >> t) & 1
-    )
+    count = sum(1 for lam in partitions_of(n) if not is_tcore(lam, t))
     if t <= n:
         # strip-removal bound; cannot fail, kept as a tripwire
         assert count <= (t + 1) * partition_count(n - t)

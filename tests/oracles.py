@@ -379,3 +379,44 @@ def prop_pm1_sweep_per_value(n, m, cfg):
     for lam in partitions_of(n):
         prop_pm1_per_value(lam, m, cfg, report)
     return report
+
+
+def theorem3_hypothesis_per_length(lam, mu, cfg):
+    """(holds, sizes, sums) of theorem 3's hypothesis, one `is_tcore` per length.
+
+    The first r-set of part sizes of mu for which lam is a t-core at every
+    combined length t wins; (False, None, None) when none does.
+    """
+    from charcore.abacus import is_tcore
+    from charcore.divisibility import _sum_sets
+
+    for sizes, sums, _ in _sum_sets(mu, cfg):
+        if all(is_tcore(lam, t) for t in sums):
+            return True, sizes, sums
+    return False, None, None
+
+
+def lemma62_per_row(n, m, cfg):
+    """The lemma62 sweep one row at a time: skip the non-cores, check each group."""
+    from charcore.abacus import is_tcore
+    from charcore.divisibility import VerifyReport, enumerate_hook_sequences
+    from charcore.partitions import format_partition, partitions_of
+
+    count = cfg.p ** (cfg.r - 1)
+    report = VerifyReport("lemma62", {"n": n, "m": m, "p": cfg.p, "r": cfg.r})
+    for lam in partitions_of(n):
+        if count * m > n or not is_tcore(lam, count * m):
+            report.skipped += 1
+            continue
+        for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
+            report.check(
+                len(seqs) % cfg.p == 0,
+                {
+                    "lambda": format_partition(lam),
+                    "lambda2": format_partition(lam2),
+                    "m": m,
+                    "count": len(seqs),
+                    "p": cfg.p,
+                },
+            )
+    return report

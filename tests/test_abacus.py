@@ -184,6 +184,9 @@ class TestBeadMask:
                 for t in range(1, n + 3):
                     assert is_tcore(lam, t) == (t not in hooks)
 
+    def test_mask_accepts_a_list(self):
+        assert hook_length_mask([3, 1]) == hook_length_mask((3, 1))
+
 
 class TestCores:
     def test_above_size_always_core(self):

@@ -116,6 +116,15 @@ class TestExitCodes:
         assert res.returncode == 2 and res.stdout == ""
         assert "checked=0" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "lemma", ["lemma61", "lemma62", "factorization", "prop-pm1"]
+    )
+    def test_verify_rejects_m_below_one(self, lemma, m):
+        res = run_cli("verify", lemma, "--n", "8", "--m", m, "--p", "2", "--r", "2")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"charcore: error: --m must be at least 1, got {m}\n"
+
     @pytest.mark.parametrize("t", ["1e400", "inf", "nan", "0", "-1"])
     def test_fp_rejects_non_finite_or_non_positive_t(self, t):
         res = run_cli("stats", "fp", "--p", "2", "--t", t)
@@ -339,11 +348,28 @@ class TestDeterminism:
                 ("verify", "prop-pm1", "--n", "16", "--m", "2", "--p", "2", "--r", "3"),
                 "b9cedc32b6e82f6ff6f850b8ad1ccbfba55459533554a55602fd6e6f44c6a73c",
             ),
+            (
+                ("verify", "theorem3", "--n", "20", "--p", "2", "--r", "2"),
+                "03be791ff337673631df6b131824c24e4ec66e0152e9988259e43ff6faa2c000",
+            ),
+            (
+                ("verify", "lemma62", "--n", "20", "--m", "2", "--p", "2", "--r", "2"),
+                "74bb4c1fa356cdd19cd4d077df5bcd19b36ae653f01a03987d2535b87d84f7d9",
+            ),
+            (
+                ("verify", "combine", "--n", "12", "--p", "2", "--r", "2"),
+                "16388f31e852ddd7f1fbca8dfb63e34c249f3e3a01999e53cb1c54293a25408d",
+            ),
+            (
+                ("stats", "tcores", "--n", "40", "--t", "5"),
+                "1a3a01f62edb3eb90a199d5cd3809fe09df9772790f2eabefe4c2c25a58a186e",
+            ),
         ],
     )
     def test_core_and_residue_output_is_frozen(self, args, digest):
-        # cores, residue skews, epsilon and border-strip checks feed these, and
-        # the last three the conjugate-row fill and the shared prop-pm1 columns
+        # cores, residue skews, epsilon and border-strip checks feed the first
+        # five, the conjugate-row fill and the shared prop-pm1 columns the next
+        # three, theorem 3's core test and the core-row walk the last four
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

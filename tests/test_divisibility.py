@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import charcore.characters as characters
 import charcore.divisibility as divisibility
-from charcore.abacus import bead_mask, from_partition, is_tcore
+from charcore.abacus import bead_mask, from_partition, hook_length_mask, is_tcore
 from charcore.characters import chi
 from charcore.divisibility import (
     CombineConfig,
@@ -30,9 +30,11 @@ from charcore.divisibility import (
 from charcore.errors import SizeCapError, UnreachableError
 from charcore.partitions import format_partition, multiplicities, partitions_of
 from oracles import (
+    lemma62_per_row,
     prop_pm1_per_value,
     prop_pm1_sweep_per_value,
     random_order_reduce,
+    theorem3_hypothesis_per_length,
 )
 
 CFGS = [CombineConfig(2, 2), CombineConfig(2, 3), CombineConfig(3, 2)]
@@ -270,6 +272,33 @@ class TestLemma62:
                     report = verify_lemma62(n, m, cfg)
                     assert report.ok, report.as_dict()
 
+    def test_matches_per_row_checks(self):
+        cfgs = [CombineConfig(*c) for c in ((2, 1), (2, 2), (3, 1), (2, 3))]
+        for n, m, cfg in product(range(1, 17), (1, 2, 3), cfgs):
+            got = verify_lemma62(n, m, cfg).as_dict()
+            assert got == lemma62_per_row(n, m, cfg).as_dict(), (n, m, cfg)
+
+    def test_a_lost_sequence_is_reported_as_per_row(self, monkeypatch):
+        # [4,4,2,2] reaches [3,3,2] by two removals of two 2-hooks, both of
+        # sign -1; one of them goes missing
+        n, m, cfg = 12, 2, CombineConfig(2, 2)
+        lost, target = (4, 4, 2, 2), (3, 3, 2)
+        sequences = divisibility.enumerate_hook_sequences
+        assert [s.sign for s in sequences(lost, m, 2)[target]] == [-1, -1]
+
+        def one_lost(lam, m, count):
+            groups = sequences(lam, m, count)
+            if lam == lost:
+                groups[target] = groups[target][1:]
+            return groups
+
+        monkeypatch.setattr(divisibility, "enumerate_hook_sequences", one_lost)
+        report = verify_lemma62(n, m, cfg)
+        assert report.violated == 1
+        assert report.witness["lambda2"] == "[3,3,2]"
+        assert report.witness["count"] == 1
+        assert report.as_dict() == lemma62_per_row(n, m, cfg).as_dict()
+
 
 class TestPropPm1:
     def test_prime_case_zero_character(self):
@@ -355,6 +384,17 @@ class TestDivisibilityTheorem:
             for n in range(1, 13):
                 report = verify_theorem3(n, cfg)
                 assert report.ok, report.as_dict()
+
+    def test_hypothesis_matches_per_length_oracle(self):
+        cfgs = [CombineConfig(*c) for c in ((2, 1), (2, 2), (3, 1), (2, 3), (3, 2))]
+        for cfg, n in product(cfgs, range(1, 13)):
+            rows = partitions_of(n)
+            for lam, mu in product(rows, rows):
+                hit = divisibility._hypothesis(
+                    hook_length_mask(lam), divisibility._sum_sets(mu, cfg)
+                )
+                got = (True, *hit[:2]) if hit else (False, None, None)
+                assert got == theorem3_hypothesis_per_length(lam, mu, cfg)
 
     def test_hypothesis_reachable(self):
         # the sweep is not vacuous at moderate sizes
