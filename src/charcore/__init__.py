@@ -24,7 +24,6 @@ from .characters import (
 )
 from .divisibility import (
     CombineConfig,
-    HookSequence,
     ReductionTrace,
     VerifyReport,
     check_divisibility_theorem,

@@ -11,12 +11,16 @@ Hooks of the partition are exactly the index pairs (i, i + t) whose beads read
 values here are immutable and every operation returns a fresh abacus.
 
 The window is worked on as one integer, its bead mask: bit i is the bead at
-window index i (`bead_mask`).  The starts of the hooks of length t are then
-the set bits of `(w >> t) & ~w`, a hook's height is the bit count of the
-beads strictly between its two ends, a strip is removed by XOR-ing its two
-bits, and the window is made canonical again by shifting off the low run of
-1s (`strip_removals`, `remove_border_strip`).  `mask_partition` reads the
-partition back.
+window index i (`bead_mask`).  The beads of a partition sit at its
+beta-numbers, its k-th smallest part plus k, so its canonical mask is the sum
+of 1 << b over them, and a mask reads back as each bead's position minus its
+rank (`mask_partition`).  The starts of the hooks of length t are the set
+bits of `(w >> t) & ~w`, a hook's height is the bit count of the beads
+strictly between its two ends, a strip is removed by XOR-ing its two bits,
+and the window is made canonical again by shifting off the low run of 1s
+(`_trim`).  `strip_removals` is the only place that swaps and trims:
+`remove_border_strip`, the characters and the hook-sequence walk all read
+its entries.
 
 Modulo m the beads sit on m runners: the bead at window index i is on runner
 i % m at level i // m.  Removing an m-hook moves one bead a level down its
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError, UnreachableError
-from .partitions import Partition, check_partition
+from .partitions import Partition, _beta_numbers, check_partition
 from .tableaux import SkewShape
 
 
@@ -72,33 +76,24 @@ class Hook:
         return self.start + self.length
 
 
-def trim_word(word) -> tuple[int, ...]:
-    """Drop the redundant 1-prefix and 0-suffix of a window."""
-    w = tuple(word)
-    i = 0
-    while i < len(w) and w[i] == 1:
-        i += 1
-    j = len(w)
-    while j > i and w[j - 1] == 0:
-        j -= 1
-    return w[i:j]
-
-
 def canonicalize(word) -> Abacus:
     """Canonical window: trimmed, with the first 0 placed at index 0."""
-    return Abacus(trim_word(word), 0)
+    return _window(_trim(bead_mask(Abacus(tuple(word)))))
+
+
+def _partition_mask(parts) -> int:
+    """The canonical bead mask of a partition: its beads sit at its beta-numbers."""
+    return sum([1 << b for b in _beta_numbers(check_partition(parts))])
+
+
+def _window(w: int) -> Abacus:
+    """The abacus whose window at offset 0 reads the bits of w, lowest first."""
+    return Abacus(tuple(map(int, bin(w)[:1:-1])) if w else ())
 
 
 def from_partition(parts) -> Abacus:
     """Boundary-walk encoding: 0 per horizontal move, 1 per vertical move."""
-    parts = check_partition(parts)
-    word: list[int] = []
-    prev = 0
-    for p in reversed(parts):
-        word.extend([0] * (p - prev))
-        word.append(1)
-        prev = p
-    return Abacus(tuple(word), 0)
+    return _window(_partition_mask(parts))
 
 
 def to_partition(a: Abacus) -> Partition:
@@ -114,14 +109,29 @@ def bead_mask(a: Abacus) -> int:
     return sum(b << i for i, b in enumerate(a.word))
 
 
-def mask_partition(w: int) -> Partition:
-    """The partition of a bead mask: each 1 is a part, the number of 0s below it."""
-    parts: list[int] = []
+def _beads(w: int) -> list[int]:
+    """Positions of the set bits of w, increasing: the beads of a bead mask."""
+    out = []
     while w:
         low = w & -w
-        parts.append(low.bit_length() - 1 - len(parts))
+        out.append(low.bit_length() - 1)
         w ^= low
-    return tuple(p for p in reversed(parts) if p)
+    return out
+
+
+def _bead_partition(beads: list[int]) -> Partition:
+    """Partition of increasing bead positions: each bead's position minus its rank."""
+    return tuple(p for p in reversed([b - k for k, b in enumerate(beads)]) if p)
+
+
+def mask_partition(w: int) -> Partition:
+    """The partition of a bead mask: each 1 is a part, the number of 0s below it."""
+    return _bead_partition(_beads(w))
+
+
+def _trim(w: int) -> int:
+    """Shift off the low run of 1s: the canonical mask of the same partition."""
+    return w >> (w ^ (w + 1)).bit_length() - 1
 
 
 def strip_removals(w: int, t: int) -> list[tuple[int, int, int]]:
@@ -138,9 +148,8 @@ def strip_removals(w: int, t: int) -> list[tuple[int, int, int]]:
         low = starts & -starts
         starts ^= low
         height = (w & ((low << t) - (low << 1))).bit_count()
-        v = w ^ low ^ (low << t)
-        v >>= (v ^ (v + 1)).bit_length() - 1
-        out.append((low.bit_length() - 1, height, v))
+        v = w ^ low ^ (low << t)  # an even v has no low run of 1s to trim
+        out.append((low.bit_length() - 1, height, _trim(v) if v & 1 else v))
     return out
 
 
@@ -155,23 +164,23 @@ def is_tcore(parts, t: int) -> bool:
     """True iff no box of the diagram has hook length t."""
     if t < 1:
         raise ValueError("t must be positive")
-    w = bead_mask(from_partition(parts))
+    w = _partition_mask(parts)
     return not (w >> t) & ~w
 
 
 def hook_length_mask(parts) -> int:
     """Bitmask with bit t set iff the partition has a hook of length t."""
-    w = bead_mask(from_partition(parts))
+    w = _partition_mask(parts)
     return sum(1 << t for t in range(1, w.bit_length()) if (w >> t) & ~w)
 
 
 def remove_border_strip(a: Abacus, h: Hook) -> Abacus:
-    """Remove the strip by XOR-ing the hook's two bits of the bead mask; canonical."""
-    if a.bead(h.start) != 0 or a.bead(h.end) != 1:
-        raise ValueError(f"{h} is not a hook of {a}")
+    """The canonical abacus left once the hook's strip is removed."""
     i = h.start - a.offset
-    w = bead_mask(a) ^ (1 << i) ^ (1 << (i + h.length))
-    return canonicalize((w >> k) & 1 for k in range(w.bit_length()))
+    for start, _, smaller in strip_removals(bead_mask(a), h.length):
+        if start == i:
+            return _window(smaller)
+    raise ValueError(f"{h} is not a hook of {a}")
 
 
 @dataclass(frozen=True)
@@ -199,24 +208,18 @@ def quotient(a: Abacus, m: int) -> QuotientView:
         raise ValueError("modulus must be positive")
     base = (a.offset // m) * m
     pad_left = a.offset - base
-    total = pad_left + len(a.word)
-    pad_right = (-total) % m
+    pad_right = -(pad_left + len(a.word)) % m
     w = [1] * pad_left + list(a.word) + [0] * pad_right
     raw = tuple(tuple(w[c::m]) for c in range(m))
     return QuotientView(m, base, raw, tuple(canonicalize(sub) for sub in raw))
 
 
-def _runners(word, m: int) -> list[list[int]]:
-    """Bead levels per runner, increasing: index i is level i // m of runner i % m."""
+def _runners(beads: list[int], m: int) -> list[list[int]]:
+    """Bead levels per runner, increasing: bead i is level i // m of runner i % m."""
     runners: list[list[int]] = [[] for _ in range(m)]
-    for i in [i for i, b in enumerate(word) if b]:
+    for i in beads:
         runners[i % m].append(i // m)
     return runners
-
-
-def _runner_partition(levels: list[int]) -> Partition:
-    """The partition of one runner: each bead's level minus its rank."""
-    return tuple(p for p in reversed([l - k for k, l in enumerate(levels)]) if p)
 
 
 def tcore(parts, t: int) -> Partition:
@@ -228,28 +231,29 @@ def tcore(parts, t: int) -> Partition:
     if t < 1:
         raise ValueError("t must be positive")
     w = 0
-    for c, levels in enumerate(_runners(from_partition(parts).word, t)):
+    for c, levels in enumerate(_runners(_beta_numbers(check_partition(parts)), t)):
         # bits c, c + t, ..., c + t*(k-1) for the k beads of runner c
         w |= ((1 << t * len(levels)) - 1) // ((1 << t) - 1) << c
     return mask_partition(w)
 
 
-def _aligned_runners(a: Abacus, a2: Abacus, m: int):
-    """Runner levels of both windows in one index frame, a2 given as many beads as a.
+def _aligned_runners(w1: int, w2: int, m: int):
+    """Runner levels of two bead masks in one index frame, w2 given as many beads as w1.
 
     Removing m-hooks keeps every bead on its runner and at its rank there and
-    only moves beads down, so a2 is reachable from a iff every runner holds as
-    many beads in both and no bead of a2 sits above the bead of the same rank
-    in a; raises UnreachableError otherwise.
+    only moves beads down, so w2 is reachable from w1 iff every runner holds as
+    many beads in both and no bead of w2 sits above the bead of the same rank
+    in w1; raises UnreachableError otherwise.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    w1, w2 = trim_word(a.word), trim_word(a2.word)
-    # leading beads that give a2 as many as a; if negative, a runner count differs
-    shift = sum(w1) - sum(w2)
-    r1, r2 = _runners(w1, m), _runners((1,) * shift + w2, m)
+    w1, w2 = _trim(w1), _trim(w2)
+    # leading beads that give w2 as many as w1; if w2 has more, a runner count differs
+    shift = max(0, w1.bit_count() - w2.bit_count())
+    r1, r2 = _runners(_beads(w1), m), _runners(_beads(((w2 + 1) << shift) - 1), m)
     for x, y in zip(r1, r2):
         if len(x) != len(y) or any(l2 > l1 for l1, l2 in zip(x, y)):
+            a, a2 = _window(w1), _window(w2)
             raise UnreachableError(f"{a2} is not reachable from {a} by {m}-hooks")
     return r1, r2
 
@@ -261,7 +265,7 @@ def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int
     shapes' sizes sum to the number of removed hooks.
     """
     result = []
-    for x, y in zip(*_aligned_runners(a, a2, m)):
-        shape = SkewShape(_runner_partition(x), _runner_partition(y))
+    for x, y in zip(*_aligned_runners(bead_mask(a), bead_mask(a2), m)):
+        shape = SkewShape(_bead_partition(x), _bead_partition(y))
         result.append((shape, shape.size))
     return result

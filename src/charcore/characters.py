@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 from typing import IO
 
-from .abacus import bead_mask, from_partition, strip_removals
+from .abacus import _beads, bead_mask, from_partition, strip_removals
 from .errors import SizeCapError
 from .partitions import (
     Partition,
@@ -54,10 +54,11 @@ def _chi_mask(w: int, mu: Partition, idx: int, memo: list[dict]) -> int:
     """chi of the row with bead mask w on mu[idx:], then 1s for the boxes left.
 
     memo[idx] maps w to the value.  Past the last part the value is the degree
-    of the row left, which is 1 once the row is empty.
+    of the row left, read off its bead positions, its beta-numbers; it is 1
+    once the row is empty.
     """
     if idx == len(mu):
-        return _mask_degree(w) if w else 1
+        return _degree_of_betas(_beads(w)) if w else 1
     seen = memo[idx]
     value = seen.get(w)
     if value is None:
@@ -67,16 +68,6 @@ def _chi_mask(w: int, mu: Partition, idx: int, memo: list[dict]) -> int:
             value += -sub if height & 1 else sub
         seen[w] = value
     return value
-
-
-def _mask_degree(w: int) -> int:
-    """Degree of the row with bead mask w: its bead positions are its beta-numbers."""
-    betas = []
-    while w:
-        low = w & -w
-        betas.append(low.bit_length() - 1)
-        w ^= low
-    return _degree_of_betas(betas)
 
 
 def _chi_values(masks, mu: Partition) -> list[int]:

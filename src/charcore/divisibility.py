@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .abacus import (
     _aligned_runners,
-    bead_mask,
+    _partition_mask,
     from_partition,
     hook_length_mask,
     is_tcore,
@@ -223,64 +223,40 @@ def verify_combine_congruence(n: int, cfg: CombineConfig) -> VerifyReport:
     return report
 
 
-@dataclass(frozen=True)
-class HookSequence:
-    """One ordered way of removing `len(starts)` hooks of a common length.
-
-    Start indices refer to the canonical window of the initial partition and
-    stay meaningful across the successive swaps.
-    """
-
-    length: int
-    starts: tuple[int, ...]
-    result: Partition
-    sign: int
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
 
 
-def enumerate_hook_sequences(
-    lam, m: int, count: int, max_sequences: int = MAX_SEQUENCES
-) -> dict[Partition, list[HookSequence]]:
-    """Depth-first enumeration of all ways to remove `count` hooks of length m.
+def enumerate_hook_sequences(lam, m: int, count: int) -> dict[Partition, list[int]]:
+    """Depth-first walk of all ways to remove `count` hooks of length m.
 
-    Sequences are grouped by the partition they end at; insertion order is the
-    deterministic DFS order.  Aborts with a size error if more than
-    `max_sequences` sequences would be produced.
+    Keeps one sign, (-1)^(sum of heights), per sequence, grouped by the
+    partition the sequence ends at; targets and signs are in the deterministic
+    DFS order.  Aborts with a size error past MAX_SEQUENCES sequences.
     """
     lam = check_partition(lam)
-    if m < 1 or count < 1:
-        raise ValueError("hook length and count must be positive")
-    if count * m > sum(lam):
+    _check_m(m)
+    if count < 1 or count * m > sum(lam):
         raise ValueError(
             f"cannot remove {count} hooks of length {m} from a partition of {sum(lam)}"
         )
-    groups: dict[Partition, list[HookSequence]] = {}
-    starts: list[int] = []
+    by_mask: dict[int, list[int]] = {}
     total = 0
 
-    def dfs(w: int, shift: int, depth: int, parity: int) -> None:
-        # `shift` is the index in the initial window of bit 0 of the trimmed mask w
+    def dfs(w: int, depth: int, parity: int) -> None:
         nonlocal total
         if depth == count:
             total += 1
-            if total > max_sequences:
-                raise SizeCapError(
-                    f"more than {max_sequences} hook sequences; raise the cap"
-                )
-            result = mask_partition(w)
-            seq = HookSequence(
-                m, tuple(starts), result, -1 if parity else 1
-            )
-            groups.setdefault(result, []).append(seq)
+            if total > MAX_SEQUENCES:
+                raise SizeCapError(f"more than {MAX_SEQUENCES} hook sequences")
+            by_mask.setdefault(w, []).append(-1 if parity else 1)
             return
-        for i, height, smaller in strip_removals(w, m):
-            starts.append(shift + i)
-            # trimming shifted off as many beads as the mask lost
-            trimmed = w.bit_count() - smaller.bit_count()
-            dfs(smaller, shift + trimmed, depth + 1, parity ^ (height & 1))
-            starts.pop()
+        for _, height, smaller in strip_removals(w, m):
+            dfs(smaller, depth + 1, parity ^ (height & 1))
 
-    dfs(bead_mask(from_partition(lam)), 0, 0, 0)
-    return groups
+    dfs(_partition_mask(lam), 0, 0)
+    return {mask_partition(w): signs for w, signs in by_mask.items()}
 
 
 def epsilon(lam, lam2, m: int) -> int:
@@ -291,7 +267,7 @@ def epsilon(lam, lam2, m: int) -> int:
     to the change in the number of bead pairs that index order and runner
     order rank differently.  Raises UnreachableError when no sequence exists.
     """
-    r1, r2 = _aligned_runners(from_partition(lam), from_partition(lam2), m)
+    r1, r2 = _aligned_runners(_partition_mask(lam), _partition_mask(lam2), m)
     return -1 if _crossings(r1) ^ _crossings(r2) else 1
 
 
@@ -326,13 +302,13 @@ def _multinomial(total: int, parts: Iterable[int]) -> int:
     return out
 
 
-def _predicted_count(a, lam2, m: int, count: int):
-    """Ordered removals of `count` m-hooks from abacus a down to lam2, predicted.
+def _predicted_count(lam, lam2, m: int, count: int):
+    """Ordered removals of `count` m-hooks from lam down to lam2, predicted.
 
     The count factors as a multinomial over residues times the per-residue
     standard-filling counts; returns (prediction, multinomial, fillings, sizes).
     """
-    skews = skew_per_residue(a, from_partition(lam2), m)
+    skews = skew_per_residue(from_partition(lam), from_partition(lam2), m)
     sizes = tuple(sz for _, sz in skews)
     assert sum(sizes) == count
     multinomial = _multinomial(count, sizes)
@@ -344,15 +320,14 @@ def verify_count_factorization(lam, lam2, m: int) -> FactorizationCheck:
     """Compare the direct sequence count against the residue-wise product."""
     lam = check_partition(lam)
     lam2 = check_partition(lam2)
+    _check_m(m)
     diff = sum(lam) - sum(lam2)
     if diff <= 0 or diff % m:
         raise UnreachableError(
             f"size difference {diff} is not a positive multiple of {m}"
         )
     count = diff // m
-    predicted, multinomial, fillings, sizes = _predicted_count(
-        from_partition(lam), lam2, m, count
-    )
+    predicted, multinomial, fillings, sizes = _predicted_count(lam, lam2, m, count)
     groups = enumerate_hook_sequences(lam, m, count)
     direct = len(groups.get(lam2, []))
     return FactorizationCheck(
@@ -365,20 +340,20 @@ def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
 
     Also cross-checks the sign `epsilon` computes against each group.
     """
+    _check_m(m)
     report = VerifyReport("lemma61", {"n": n, "m": m, "max_hooks": max_hooks})
     for lam in partitions_of(n):
         for count in range(1, max_hooks + 1):
             if count * m > n:
                 break
-            for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-                signs = {s.sign for s in seqs}
+            for lam2, signs in enumerate_hook_sequences(lam, m, count).items():
                 report.check(
-                    len(signs) == 1 and epsilon(lam, lam2, m) in signs,
+                    len(set(signs)) == 1 and epsilon(lam, lam2, m) in signs,
                     {
                         "lambda": format_partition(lam),
                         "lambda2": format_partition(lam2),
                         "m": m,
-                        "signs": sorted(signs),
+                        "signs": sorted(set(signs)),
                     },
                 )
     return report
@@ -386,14 +361,14 @@ def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
 
 def verify_factorization(n: int, m: int, max_hooks: int = 4) -> VerifyReport:
     """Exhaust the counting identity over all reachable pairs at size n."""
+    _check_m(m)
     report = VerifyReport("factorization", {"n": n, "m": m, "max_hooks": max_hooks})
     for lam in partitions_of(n):
-        a = from_partition(lam)
         for count in range(1, max_hooks + 1):
             if count * m > n:
                 break
             for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-                predicted = _predicted_count(a, lam2, m, count)[0]
+                predicted = _predicted_count(lam, lam2, m, count)[0]
                 report.check(
                     len(seqs) == predicted,
                     {
@@ -417,6 +392,7 @@ def _core_groups(
     removing p**(r-1) strips of length m that end at one target and is kept as
     (target, whether all its signs agree, sign * count).
     """
+    _check_m(m)
     count = cfg.p ** (cfg.r - 1)
     cores = []
     for lam in rows:
@@ -425,7 +401,7 @@ def _core_groups(
             continue
         groups = []
         for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-            signs = {s.sign for s in seqs}
+            signs = set(seqs)
             groups.append((lam2, len(signs) == 1, next(iter(signs)) * len(seqs)))
         cores.append((lam, groups))
     return cores
@@ -489,8 +465,8 @@ def _prop_pm1(
         for lam2, _, _ in groups:
             targets.setdefault(lam2, len(targets))
     taus = partitions_of(n - count * m)
-    core_masks = [bead_mask(from_partition(lam)) for lam, _ in cores]
-    target_masks = [bead_mask(from_partition(lam2)) for lam2 in targets]
+    core_masks = [_partition_mask(lam) for lam, _ in cores]
+    target_masks = [_partition_mask(lam2) for lam2 in targets]
     lhs = [
         _chi_values(core_masks, tuple(sorted(tau + (m,) * count, reverse=True)))
         for tau in taus

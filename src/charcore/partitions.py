@@ -112,6 +112,11 @@ def conjugate(parts) -> Partition:
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
 
 
+def _beta_numbers(parts: Partition) -> list[int]:
+    """Increasing beta-numbers of a checked partition: its k-th smallest part plus k."""
+    return [p + k for k, p in enumerate(reversed(parts))]
+
+
 def hook_lengths(parts) -> list[list[int]]:
     """Hook length of every box, row by row: arm + leg + 1."""
     parts = check_partition(parts)

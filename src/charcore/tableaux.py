@@ -10,6 +10,7 @@ from typing import Iterator, NamedTuple
 from .errors import SizeCapError
 from .partitions import (
     Partition,
+    _beta_numbers,
     check_partition,
     format_partition,
     partitions_of,
@@ -107,8 +108,7 @@ def count_skew_syt(shape: SkewShape) -> int:
 
 def count_syt(shape) -> int:
     """Degree f of the straight shape, by the hook-length formula on beta-numbers."""
-    shape = check_partition(shape)
-    return _degree_of_betas([p + i for i, p in enumerate(reversed(shape))])
+    return _degree_of_betas(_beta_numbers(check_partition(shape)))
 
 
 def _degree_of_betas(betas) -> int:

@@ -32,6 +32,25 @@ def diagram_strip_removals(lam, t):
     return out
 
 
+def hook_sequence_signs(lam, m, count):
+    """Sorted signs of every ordered removal of `count` m-strips, by final partition.
+
+    Each removal walks the diagram (`diagram_strip_removals`) and multiplies
+    the sign by (-1)^leg.
+    """
+    level = [(tuple(lam), 1)]
+    for _ in range(count):
+        level = [
+            (smaller, -sign if leg % 2 else sign)
+            for mu, sign in level
+            for smaller, leg in diagram_strip_removals(mu, m)
+        ]
+    groups = {}
+    for mu, sign in level:
+        groups.setdefault(mu, []).append(sign)
+    return {mu: sorted(signs) for mu, signs in groups.items()}
+
+
 def diagram_tcore(lam, t):
     """The t-core by removing length-t strips from the diagram until none is left."""
     lam = tuple(lam)
@@ -334,7 +353,7 @@ def prop_pm1_per_value(lam, m, cfg, report=None):
         return report
     coeffs = {}
     for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-        signs = {s.sign for s in seqs}
+        signs = set(seqs)
         report.check(
             len(signs) == 1,
             {

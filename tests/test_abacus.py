@@ -368,5 +368,5 @@ class TestSkewPerResidue:
 
     def test_aligned_windows_charge(self):
         a, b = from_partition((1,)), from_partition(())
-        r1, r2 = _aligned_runners(a, b, 1)
+        r1, r2 = _aligned_runners(bead_mask(a), bead_mask(b), 1)
         assert sum(map(len, r1)) == sum(map(len, r2))

@@ -30,6 +30,7 @@ from charcore.divisibility import (
 from charcore.errors import SizeCapError, UnreachableError
 from charcore.partitions import format_partition, multiplicities, partitions_of
 from oracles import (
+    hook_sequence_signs,
     lemma62_per_row,
     prop_pm1_per_value,
     prop_pm1_sweep_per_value,
@@ -173,8 +174,7 @@ class TestHookSequences:
     def test_single_long_hook(self):
         groups = enumerate_hook_sequences((2, 2), 3, 1)
         assert set(groups) == {(1,)}
-        (seq,) = groups[(1,)]
-        assert seq.sign == -1 and seq.starts == (0,)
+        assert groups[(1,)] == [-1]
 
     def test_no_hooks_of_excess_length(self):
         assert enumerate_hook_sequences((2, 2), 4, 1) == {}
@@ -183,28 +183,39 @@ class TestHookSequences:
         with pytest.raises(ValueError):
             enumerate_hook_sequences((2, 2), 3, 2)
 
-    def test_sequence_cap(self):
+    def test_sequence_cap(self, monkeypatch):
+        monkeypatch.setattr(divisibility, "MAX_SEQUENCES", 1)
         with pytest.raises(SizeCapError):
-            enumerate_hook_sequences((2, 2), 1, 4, max_sequences=1)
+            enumerate_hook_sequences((2, 2), 1, 4)
 
-    def test_starts_replay(self):
-        # replaying the recorded swaps reproduces the grouped result
-        from charcore.abacus import canonicalize, from_partition, to_partition
+    def test_signs_match_diagram_walk(self):
+        for n in range(10):
+            for lam in partitions_of(n):
+                for m in (1, 2, 3):
+                    for count in (1, 2, 3):
+                        if count * m > n:
+                            continue
+                        groups = enumerate_hook_sequences(lam, m, count)
+                        got = {lam2: sorted(signs) for lam2, signs in groups.items()}
+                        assert got == hook_sequence_signs(lam, m, count), (lam, m, count)
 
-        for lam in partitions_of(7):
-            for m in (1, 2, 3):
-                if m > 7:
-                    continue
-                for count in (1, 2):
-                    if count * m > 7:
-                        continue
-                    for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-                        for seq in seqs:
-                            w = list(from_partition(lam).word)
-                            for i in seq.starts:
-                                assert w[i] == 0 and w[i + m] == 1
-                                w[i], w[i + m] = 1, 0
-                            assert to_partition(canonicalize(w)) == lam2
+
+M_CHECKS = {
+    "count_factorization": lambda m: verify_count_factorization((2, 2), (1,), m),
+    "lemma61": lambda m: verify_lemma61(4, m),
+    "factorization": lambda m: verify_factorization(4, m),
+    "lemma62": lambda m: verify_lemma62(4, m, CombineConfig(2, 2)),
+    "prop_pm1": lambda m: verify_prop_pm1((2, 2), m, CombineConfig(2, 2)),
+    "prop_pm1_sweep": lambda m: verify_prop_pm1_sweep(4, m, CombineConfig(2, 2)),
+    "hook_sequences": lambda m: enumerate_hook_sequences((2, 2), m, 1),
+}
+
+
+@pytest.mark.parametrize("m", [0, -3])
+@pytest.mark.parametrize("name", sorted(M_CHECKS))
+def test_m_below_one_rejected(name, m):
+    with pytest.raises(ValueError, match=f"^m must be at least 1, got {m}$"):
+        M_CHECKS[name](m)
 
 
 class TestEpsilon:
@@ -228,9 +239,8 @@ class TestEpsilon:
                         if count * m > n:
                             continue
                         groups = enumerate_hook_sequences(lam, m, count)
-                        for lam2, seqs in groups.items():
-                            signs = {s.sign for s in seqs}
-                            assert signs == {epsilon(lam, lam2, m)}
+                        for lam2, signs in groups.items():
+                            assert set(signs) == {epsilon(lam, lam2, m)}
 
 
 class TestFactorization:
@@ -284,7 +294,7 @@ class TestLemma62:
         n, m, cfg = 12, 2, CombineConfig(2, 2)
         lost, target = (4, 4, 2, 2), (3, 3, 2)
         sequences = divisibility.enumerate_hook_sequences
-        assert [s.sign for s in sequences(lost, m, 2)[target]] == [-1, -1]
+        assert sequences(lost, m, 2)[target] == [-1, -1]
 
         def one_lost(lam, m, count):
             groups = sequences(lam, m, count)

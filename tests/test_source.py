@@ -1,0 +1,77 @@
+"""Dead-code guard over the library source, read with the stdlib `ast` module.
+
+Every name a module imports must be used in it, and every private top-level
+name (`_x`, not a dunder) must be referenced somewhere in the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "charcore"
+MODULES = sorted(SRC.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text()) for path in MODULES}
+
+
+def _loaded_names(tree):
+    """Names read in the tree: plain names, attribute names, names imported from."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _imported(tree):
+    """(bound name, line) of every import outside `from __future__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _private_top_level(tree):
+    """(name, line) of every top-level def, class or assignment named `_x`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("module", [m for m in TREES if m != "__init__.py"])
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    unused = [(name, line) for name, line in _imported(tree) if name not in used]
+    assert not unused, f"{module}: imported and never used: {unused}"
+
+
+def test_every_private_name_is_referenced():
+    referenced = set().union(*map(_loaded_names, TREES.values()))
+    dead = [
+        (module, name, line)
+        for module, tree in TREES.items()
+        for name, line in _private_top_level(tree)
+        if name not in referenced
+    ]
+    assert not dead, f"private names nothing references: {dead}"
