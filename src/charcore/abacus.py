@@ -43,6 +43,10 @@ class Abacus:
     word: tuple[int, ...]
     offset: int = 0
 
+    def __post_init__(self):
+        if not set(self.word) <= {0, 1}:
+            raise FormatError(f"abacus word must hold only 0s and 1s, got {self.word}")
+
     def bead(self, i: int) -> int:
         """Bead at absolute index i: implicit 1s to the left, 0s to the right."""
         if i < self.offset:
@@ -98,8 +102,7 @@ def from_partition(parts) -> Abacus:
 
 def to_partition(a: Abacus) -> Partition:
     """Inverse of from_partition; rejects non-canonical windows."""
-    word = a.word
-    if word and (word[0] != 0 or word[-1] != 1 or any(b not in (0, 1) for b in word)):
+    if a.word and (a.word[0] != 0 or a.word[-1] != 1):
         raise FormatError(f"not a canonical abacus window: {a}")
     return mask_partition(bead_mask(a))
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 from typing import IO
 
-from .abacus import _beads, bead_mask, from_partition, strip_removals
+from .abacus import _beads, _partition_mask, bead_mask, from_partition, strip_removals
 from .errors import SizeCapError
 from .partitions import (
     Partition,
@@ -47,7 +47,7 @@ def chi(lam, mu) -> int:
         raise SizeCapError(f"chi capped at n <= {CHI_CAP}, got {sum(mu)}")
     # on a tail of 1s the value is the degree of what is left of the row
     head = mu[: len(mu) - mu.count(1)]
-    return _chi_values((bead_mask(from_partition(lam)),), head)[0]
+    return _chi_values((_partition_mask(lam),), head)[0]
 
 
 def _chi_mask(w: int, mu: Partition, idx: int, memo: list[dict]) -> int:

@@ -38,7 +38,6 @@ from .partitions import (
 )
 from .tableaux import count_skew_syt, is_border_strip, iter_box_skews
 
-MAX_SEQUENCES = 10**7
 CONGRUENCE_CAP = 16
 
 
@@ -228,12 +227,16 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be at least 1, got {m}")
 
 
-def enumerate_hook_sequences(lam, m: int, count: int) -> dict[Partition, list[int]]:
-    """Depth-first walk of all ways to remove `count` hooks of length m.
+def enumerate_hook_sequences(
+    lam, m: int, count: int
+) -> dict[Partition, tuple[int, int]]:
+    """Count the ways to remove `count` hooks of length m, by target and sign.
 
-    Keeps one sign, (-1)^(sum of heights), per sequence, grouped by the
-    partition the sequence ends at; targets and signs are in the deterministic
-    DFS order.  Aborts with a size error past MAX_SEQUENCES sequences.
+    Each target maps to (even, odd), its sequences of sign +1 and of sign -1,
+    counted level by level over bead masks; a removal of odd height swaps the
+    pair.  Masks are read in the order first reached, so the targets come in
+    the order a depth-first walk meets them.  The work is the number of masks
+    reached, not the number of sequences.
     """
     lam = check_partition(lam)
     _check_m(m)
@@ -241,22 +244,16 @@ def enumerate_hook_sequences(lam, m: int, count: int) -> dict[Partition, list[in
         raise ValueError(
             f"cannot remove {count} hooks of length {m} from a partition of {sum(lam)}"
         )
-    by_mask: dict[int, list[int]] = {}
-    total = 0
-
-    def dfs(w: int, depth: int, parity: int) -> None:
-        nonlocal total
-        if depth == count:
-            total += 1
-            if total > MAX_SEQUENCES:
-                raise SizeCapError(f"more than {MAX_SEQUENCES} hook sequences")
-            by_mask.setdefault(w, []).append(-1 if parity else 1)
-            return
-        for _, height, smaller in strip_removals(w, m):
-            dfs(smaller, depth + 1, parity ^ (height & 1))
-
-    dfs(_partition_mask(lam), 0, 0)
-    return {mask_partition(w): signs for w, signs in by_mask.items()}
+    level = {_partition_mask(lam): (1, 0)}
+    for _ in range(count):
+        reached: dict[int, tuple[int, int]] = {}
+        for w, pair in level.items():
+            for _, height, smaller in strip_removals(w, m):
+                even, odd = pair[::-1] if height & 1 else pair
+                e, o = reached.get(smaller, (0, 0))
+                reached[smaller] = (e + even, o + odd)
+        level = reached
+    return {mask_partition(w): pair for w, pair in level.items()}
 
 
 def epsilon(lam, lam2, m: int) -> int:
@@ -328,11 +325,19 @@ def verify_count_factorization(lam, lam2, m: int) -> FactorizationCheck:
         )
     count = diff // m
     predicted, multinomial, fillings, sizes = _predicted_count(lam, lam2, m, count)
-    groups = enumerate_hook_sequences(lam, m, count)
-    direct = len(groups.get(lam2, []))
+    direct = sum(enumerate_hook_sequences(lam, m, count).get(lam2, (0, 0)))
     return FactorizationCheck(
         direct == predicted, direct, predicted, multinomial, fillings, sizes
     )
+
+
+def _hook_groups(n: int, m: int, max_hooks: int):
+    """(lam, count, target, (even, odd)) per row of size n and count <= max_hooks."""
+    _check_m(m)
+    for lam in partitions_of(n):
+        for count in range(1, min(max_hooks, n // m) + 1):
+            for lam2, pair in enumerate_hook_sequences(lam, m, count).items():
+                yield lam, count, lam2, pair
 
 
 def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
@@ -340,52 +345,43 @@ def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
 
     Also cross-checks the sign `epsilon` computes against each group.
     """
-    _check_m(m)
     report = VerifyReport("lemma61", {"n": n, "m": m, "max_hooks": max_hooks})
-    for lam in partitions_of(n):
-        for count in range(1, max_hooks + 1):
-            if count * m > n:
-                break
-            for lam2, signs in enumerate_hook_sequences(lam, m, count).items():
-                report.check(
-                    len(set(signs)) == 1 and epsilon(lam, lam2, m) in signs,
-                    {
-                        "lambda": format_partition(lam),
-                        "lambda2": format_partition(lam2),
-                        "m": m,
-                        "signs": sorted(set(signs)),
-                    },
-                )
+    for lam, _, lam2, (even, odd) in _hook_groups(n, m, max_hooks):
+        signs = [-1] * bool(odd) + [1] * bool(even)
+        report.check(
+            len(signs) == 1 and epsilon(lam, lam2, m) in signs,
+            {
+                "lambda": format_partition(lam),
+                "lambda2": format_partition(lam2),
+                "m": m,
+                "signs": signs,
+            },
+        )
     return report
 
 
 def verify_factorization(n: int, m: int, max_hooks: int = 4) -> VerifyReport:
     """Exhaust the counting identity over all reachable pairs at size n."""
-    _check_m(m)
     report = VerifyReport("factorization", {"n": n, "m": m, "max_hooks": max_hooks})
-    for lam in partitions_of(n):
-        for count in range(1, max_hooks + 1):
-            if count * m > n:
-                break
-            for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-                predicted = _predicted_count(lam, lam2, m, count)[0]
-                report.check(
-                    len(seqs) == predicted,
-                    {
-                        "lambda": format_partition(lam),
-                        "lambda2": format_partition(lam2),
-                        "m": m,
-                        "direct": len(seqs),
-                        "predicted": predicted,
-                    },
-                )
+    for lam, count, lam2, pair in _hook_groups(n, m, max_hooks):
+        predicted = _predicted_count(lam, lam2, m, count)[0]
+        report.check(
+            sum(pair) == predicted,
+            {
+                "lambda": format_partition(lam),
+                "lambda2": format_partition(lam2),
+                "m": m,
+                "direct": sum(pair),
+                "predicted": predicted,
+            },
+        )
     return report
 
 
 def _core_groups(
     rows: Sequence[Partition], n: int, m: int, cfg: CombineConfig, report: VerifyReport
 ) -> list[tuple[Partition, list[tuple[Partition, bool, int]]]]:
-    """Each core row among `rows` (all of size n) with its groups, in DFS order.
+    """Each core row among `rows` (all of size n) with its groups, in walk order.
 
     A row is a core when it has no hook of length m * p**(r-1); every other
     row is counted as skipped on `report`.  A group gathers the ways of
@@ -399,10 +395,10 @@ def _core_groups(
         if count * m > n or not is_tcore(lam, count * m):
             report.skipped += 1
             continue
-        groups = []
-        for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
-            signs = set(seqs)
-            groups.append((lam2, len(signs) == 1, next(iter(signs)) * len(seqs)))
+        groups = [
+            (lam2, not (even and odd), (1 if even else -1) * (even + odd))
+            for lam2, (even, odd) in enumerate_hook_sequences(lam, m, count).items()
+        ]
         cores.append((lam, groups))
     return cores
 

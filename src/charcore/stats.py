@@ -324,9 +324,12 @@ def lemma91_delta(
     """Numeric evaluation of the weighted deficiency sum Delta (report-only).
 
     The inner sums are truncated at an adaptively chosen k with a rigorous
-    geometric tail bound; all summands are nonnegative, so the reported value
-    is a certified lower bound on the untruncated Delta.
+    geometric tail bound below `tail` (positive, finite); all summands are
+    nonnegative, so the reported value is a certified lower bound on the
+    untruncated Delta.
     """
+    if not (mpmath.isfinite(tail) and tail > 0):
+        raise ValueError(f"tail must be positive and finite, got {tail}")
     with mpmath.workdps(DELTA_DPS + 15):
         x = mpmath.sqrt(6 * n) / mpmath.pi
         s = int(mpmath.floor(mpmath.log(mpmath.sqrt(n)) / (mpmath.e * cfg.q)))

@@ -31,11 +31,8 @@ class SkewShape:
         inner = check_partition(self.inner)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
-        if len(inner) > len(outer):
+        if len(inner) > len(outer) or any(t > o for t, o in zip(inner, outer)):
             raise ValueError(f"inner shape {inner} not contained in {outer}")
-        for i, t in enumerate(inner):
-            if t > outer[i]:
-                raise ValueError(f"inner shape {inner} not contained in {outer}")
 
     @property
     def size(self) -> int:

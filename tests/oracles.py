@@ -51,6 +51,29 @@ def hook_sequence_signs(lam, m, count):
     return {mu: sorted(signs) for mu, signs in groups.items()}
 
 
+def hook_sequence_dfs(lam, m, count):
+    """One sign per ordered removal of `count` m-hooks, grouped by final partition.
+
+    Depth-first over bead masks, removals by increasing start index; targets and
+    signs are in the order the walk reaches them.  Lists every sequence, so its
+    cost is their number.  It reads the library's hook scan, which the diagram
+    walk `hook_sequence_signs` checks on its own.
+    """
+    from charcore.abacus import _partition_mask, mask_partition, strip_removals
+
+    by_mask = {}
+
+    def dfs(w, depth, parity):
+        if depth == count:
+            by_mask.setdefault(w, []).append(-1 if parity else 1)
+            return
+        for _, height, smaller in strip_removals(w, m):
+            dfs(smaller, depth + 1, parity ^ (height & 1))
+
+    dfs(_partition_mask(lam), 0, 0)
+    return {mask_partition(w): signs for w, signs in by_mask.items()}
+
+
 def diagram_tcore(lam, t):
     """The t-core by removing length-t strips from the diagram until none is left."""
     lam = tuple(lam)
@@ -336,7 +359,7 @@ def prop_pm1_per_value(lam, m, cfg, report=None):
     """
     from charcore.abacus import is_tcore
     from charcore.characters import chi
-    from charcore.divisibility import VerifyReport, enumerate_hook_sequences
+    from charcore.divisibility import VerifyReport
     from charcore.partitions import format_partition, partitions_of
 
     lam = tuple(lam)
@@ -352,7 +375,7 @@ def prop_pm1_per_value(lam, m, cfg, report=None):
         report.skipped += 1
         return report
     coeffs = {}
-    for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
+    for lam2, seqs in hook_sequence_dfs(lam, m, count).items():
         signs = set(seqs)
         report.check(
             len(signs) == 1,
@@ -418,7 +441,7 @@ def theorem3_hypothesis_per_length(lam, mu, cfg):
 def lemma62_per_row(n, m, cfg):
     """The lemma62 sweep one row at a time: skip the non-cores, check each group."""
     from charcore.abacus import is_tcore
-    from charcore.divisibility import VerifyReport, enumerate_hook_sequences
+    from charcore.divisibility import VerifyReport
     from charcore.partitions import format_partition, partitions_of
 
     count = cfg.p ** (cfg.r - 1)
@@ -427,7 +450,7 @@ def lemma62_per_row(n, m, cfg):
         if count * m > n or not is_tcore(lam, count * m):
             report.skipped += 1
             continue
-        for lam2, seqs in enumerate_hook_sequences(lam, m, count).items():
+        for lam2, seqs in hook_sequence_dfs(lam, m, count).items():
             report.check(
                 len(seqs) % cfg.p == 0,
                 {

@@ -100,6 +100,13 @@ class TestEncoding:
             with pytest.raises(FormatError):
                 to_partition(Abacus(bad))
 
+    def test_words_of_other_symbols_rejected(self):
+        # a window holding a 2 encodes no partition, so no hook scan reads it
+        with pytest.raises(FormatError):
+            hooks_of_length(Abacus((0, 2, 1)), 1)
+        with pytest.raises(FormatError):
+            canonicalize((0, 2, 1))
+
     def test_shift_equivalence(self):
         a = from_partition(WORKED)
         shifted = a.shift(5)

@@ -132,6 +132,17 @@ class TestExitCodes:
         assert "t must be positive and finite" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("tail", ["0", "-1", "nan", "inf"])
+    def test_delta_rejects_non_finite_or_non_positive_tail(self, tail):
+        res = run_cli(
+            "stats", "delta", "--n", "1000000", "--p", "2", "--r", "2",
+            "--L", "200", "--tail", tail,
+        )
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            f"charcore: error: tail must be positive and finite, got {float(tail)}\n"
+        )
+
     @pytest.mark.parametrize("dps", ["-5", "0"])
     def test_fp_rejects_dps_below_one(self, dps):
         res = run_cli("stats", "fp", "--p", "2", "--t", "5", "--dps", dps)
@@ -364,12 +375,21 @@ class TestDeterminism:
                 ("stats", "tcores", "--n", "40", "--t", "5"),
                 "1a3a01f62edb3eb90a199d5cd3809fe09df9772790f2eabefe4c2c25a58a186e",
             ),
+            (
+                ("verify", "lemma62", "--n", "24", "--m", "2", "--p", "2", "--r", "3"),
+                "b733a149a74b072f61d05f50a1822584c7c2ee429df80edaa27766bc4362bfcf",
+            ),
+            (
+                ("verify", "factorization", "--n", "14", "--m", "1", "--hooks", "4"),
+                "e7d10df9b32b5249dede98fa92d34ba990c9af8e2000a24354285072efc54b70",
+            ),
         ],
     )
     def test_core_and_residue_output_is_frozen(self, args, digest):
         # cores, residue skews, epsilon and border-strip checks feed the first
         # five, the conjugate-row fill and the shared prop-pm1 columns the next
-        # three, theorem 3's core test and the core-row walk the last four
+        # three, theorem 3's core test and the core-row walk the next four, and
+        # the hook-sequence counts of four removals per row the last two
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

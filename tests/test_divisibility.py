@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import charcore.characters as characters
 import charcore.divisibility as divisibility
+import oracles
 from charcore.abacus import bead_mask, from_partition, hook_length_mask, is_tcore
 from charcore.characters import chi
 from charcore.divisibility import (
@@ -29,7 +30,9 @@ from charcore.divisibility import (
 )
 from charcore.errors import SizeCapError, UnreachableError
 from charcore.partitions import format_partition, multiplicities, partitions_of
+from charcore.tableaux import count_syt
 from oracles import (
+    hook_sequence_dfs,
     hook_sequence_signs,
     lemma62_per_row,
     prop_pm1_per_value,
@@ -165,16 +168,23 @@ class TestCombineCongruence:
             verify_combine_congruence(17, CombineConfig(2, 2))
 
 
+def _sign_counts(groups):
+    """Sign lists per target as (count of +1, count of -1), in the same order."""
+    return [(lam2, (signs.count(1), signs.count(-1))) for lam2, signs in groups.items()]
+
+
+def _one_fewer(pair):
+    """An (even, odd) pair with one sequence of its sign taken away."""
+    even, odd = pair
+    return (even - 1, odd) if even else (even, odd - 1)
+
+
 class TestHookSequences:
     def test_corner_removals_count_fillings(self):
-        groups = enumerate_hook_sequences((2, 2), 1, 4)
-        assert set(groups) == {()}
-        assert len(groups[()]) == 2
+        assert enumerate_hook_sequences((2, 2), 1, 4) == {(): (2, 0)}
 
     def test_single_long_hook(self):
-        groups = enumerate_hook_sequences((2, 2), 3, 1)
-        assert set(groups) == {(1,)}
-        assert groups[(1,)] == [-1]
+        assert enumerate_hook_sequences((2, 2), 3, 1) == {(1,): (0, 1)}
 
     def test_no_hooks_of_excess_length(self):
         assert enumerate_hook_sequences((2, 2), 4, 1) == {}
@@ -183,10 +193,24 @@ class TestHookSequences:
         with pytest.raises(ValueError):
             enumerate_hook_sequences((2, 2), 3, 2)
 
-    def test_sequence_cap(self, monkeypatch):
-        monkeypatch.setattr(divisibility, "MAX_SEQUENCES", 1)
-        with pytest.raises(SizeCapError):
-            enumerate_hook_sequences((2, 2), 1, 4)
+    def test_counts_far_past_any_listing(self):
+        # every ordering of the boxes of the staircase, about 1.1e9 sequences,
+        # is counted over the 429 subdiagrams they pass through
+        lam = (6, 5, 4, 3, 2, 1)
+        assert count_syt(lam) > 10**9
+        assert enumerate_hook_sequences(lam, 1, 21) == {(): (count_syt(lam), 0)}
+
+    def test_counts_match_depth_first_oracle(self):
+        # same targets in the same order, and the same signs counted
+        for n in range(15):
+            for lam in partitions_of(n):
+                for m in (1, 2, 3, 4):
+                    for count in (1, 2, 3):
+                        if count * m > n:
+                            continue
+                        got = list(enumerate_hook_sequences(lam, m, count).items())
+                        want = _sign_counts(hook_sequence_dfs(lam, m, count))
+                        assert got == want, (lam, m, count)
 
     def test_signs_match_diagram_walk(self):
         for n in range(10):
@@ -195,9 +219,9 @@ class TestHookSequences:
                     for count in (1, 2, 3):
                         if count * m > n:
                             continue
-                        groups = enumerate_hook_sequences(lam, m, count)
-                        got = {lam2: sorted(signs) for lam2, signs in groups.items()}
-                        assert got == hook_sequence_signs(lam, m, count), (lam, m, count)
+                        got = enumerate_hook_sequences(lam, m, count)
+                        want = dict(_sign_counts(hook_sequence_signs(lam, m, count)))
+                        assert got == want, (lam, m, count)
 
 
 M_CHECKS = {
@@ -239,8 +263,35 @@ class TestEpsilon:
                         if count * m > n:
                             continue
                         groups = enumerate_hook_sequences(lam, m, count)
-                        for lam2, signs in groups.items():
-                            assert set(signs) == {epsilon(lam, lam2, m)}
+                        for lam2, (even, odd) in groups.items():
+                            # no sequence of the other sign
+                            assert (odd if epsilon(lam, lam2, m) == 1 else even) == 0
+
+
+class TestLemma61:
+    def test_mixed_signs_are_a_violation_with_both_signs(self, monkeypatch):
+        sequences = divisibility.enumerate_hook_sequences
+
+        def mixed(lam, m, count):
+            groups = sequences(lam, m, count)
+            if lam == (2, 2):
+                groups[(2, 1)] = (1, 1)
+            return groups
+
+        monkeypatch.setattr(divisibility, "enumerate_hook_sequences", mixed)
+        report = verify_lemma61(4, 1, 1)
+        assert (report.checked, report.violated) == (6, 1)
+        assert report.witness == {
+            "lambda": "[2,2]", "lambda2": "[2,1]", "m": 1, "signs": [-1, 1]
+        }
+
+    def test_a_sign_other_than_epsilon_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(divisibility, "epsilon", lambda lam, lam2, m: -1)
+        report = verify_lemma61(4, 1, 1)
+        assert (report.checked, report.violated) == (0, 7)
+        assert report.witness == {
+            "lambda": "[4]", "lambda2": "[3]", "m": 1, "signs": [1]
+        }
 
 
 class TestFactorization:
@@ -273,7 +324,7 @@ class TestLemma62:
         report = verify_lemma62(4, 1, CombineConfig(2, 3))
         assert report.ok
         groups = enumerate_hook_sequences((2, 2), 1, 4)
-        assert len(groups[()]) % 2 == 0
+        assert sum(groups[()]) % 2 == 0
 
     def test_sweep(self):
         for cfg in CFGS:
@@ -294,15 +345,23 @@ class TestLemma62:
         n, m, cfg = 12, 2, CombineConfig(2, 2)
         lost, target = (4, 4, 2, 2), (3, 3, 2)
         sequences = divisibility.enumerate_hook_sequences
-        assert sequences(lost, m, 2)[target] == [-1, -1]
+        assert sequences(lost, m, 2)[target] == (0, 2)
+        assert hook_sequence_dfs(lost, m, 2)[target] == [-1, -1]
 
         def one_lost(lam, m, count):
             groups = sequences(lam, m, count)
+            if lam == lost:
+                groups[target] = _one_fewer(groups[target])
+            return groups
+
+        def one_lost_dfs(lam, m, count):
+            groups = hook_sequence_dfs(lam, m, count)
             if lam == lost:
                 groups[target] = groups[target][1:]
             return groups
 
         monkeypatch.setattr(divisibility, "enumerate_hook_sequences", one_lost)
+        monkeypatch.setattr(oracles, "hook_sequence_dfs", one_lost_dfs)
         report = verify_lemma62(n, m, cfg)
         assert report.violated == 1
         assert report.witness["lambda2"] == "[3,3,2]"
@@ -354,11 +413,19 @@ class TestPropPm1:
             groups = sequences(lam, m, count)
             if lam == last:
                 lam2 = next(iter(groups))
+                groups[lam2] = _one_fewer(groups[lam2])
+            return groups
+
+        def one_lost_dfs(lam, m, count):
+            groups = hook_sequence_dfs(lam, m, count)
+            if lam == last:
+                lam2 = next(iter(groups))
                 groups[lam2] = groups[lam2][1:]
             return groups
 
         monkeypatch.setattr(characters, "_chi_mask", wrong)
         monkeypatch.setattr(divisibility, "enumerate_hook_sequences", one_lost)
+        monkeypatch.setattr(oracles, "hook_sequence_dfs", one_lost_dfs)
         swept = verify_prop_pm1_sweep(n, m, cfg)
         assert swept.witness["lambda"] == format_partition(first)
         assert "tau" in swept.witness
