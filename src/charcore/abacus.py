@@ -179,6 +179,8 @@ def hook_length_mask(parts) -> int:
 
 def remove_border_strip(a: Abacus, h: Hook) -> Abacus:
     """The canonical abacus left once the hook's strip is removed."""
+    if h.length < 1:
+        raise ValueError("hook length must be positive")
     i = h.start - a.offset
     for start, _, smaller in strip_removals(bead_mask(a), h.length):
         if start == i:

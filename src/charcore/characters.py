@@ -34,8 +34,8 @@ CHI_CAP = 500
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def chi(lam, mu) -> int:
-    """Character value of the row `lam` on the conjugacy class `mu`."""
+def _same_size(lam, mu) -> tuple[Partition, Partition]:
+    """Both partitions checked; a ValueError unless they partition the same integer."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
@@ -43,6 +43,12 @@ def chi(lam, mu) -> int:
             f"lambda and mu must partition the same integer, "
             f"got {sum(lam)} and {sum(mu)}"
         )
+    return lam, mu
+
+
+def chi(lam, mu) -> int:
+    """Character value of the row `lam` on the conjugacy class `mu`."""
+    lam, mu = _same_size(lam, mu)
     if sum(mu) > CHI_CAP:
         raise SizeCapError(f"chi capped at n <= {CHI_CAP}, got {sum(mu)}")
     # on a tail of 1s the value is the degree of what is left of the row

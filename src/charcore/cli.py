@@ -46,25 +46,18 @@ def _dump_json(obj, out) -> None:
     out.write("\n")
 
 
-def _write_csv_row(d: dict, out) -> None:
-    """One-row CSV: the keys of d as the header, then its values."""
-    out.write(",".join(d) + "\n")
-    out.write(",".join(str(v) for v in d.values()) + "\n")
-
-
 def _write_record(d: dict, fmt: str, out) -> None:
+    """One record: a one-row CSV (the keys as the header, then the values) or JSON."""
     if fmt == "csv":
-        _write_csv_row(d, out)
+        out.write(",".join(d) + "\n")
+        out.write(",".join(str(v) for v in d.values()) + "\n")
     else:
         _dump_json(d, out)
 
 
 def _report_out(report, fmt: str, out) -> int:
     d = report.as_dict()
-    if fmt == "csv":
-        keys = ("lemma", "checked", "skipped", "violated")
-        _write_csv_row({k: d[k] for k in keys}, out)
-    elif fmt == "text":
+    if fmt == "text":
         out.write(
             f"{d['lemma']}: checked={d['checked']} skipped={d['skipped']} "
             f"violated={d['violated']}\n"
@@ -72,14 +65,34 @@ def _report_out(report, fmt: str, out) -> int:
         if d["witness"]:
             out.write(f"witness: {json.dumps(d['witness'], separators=(',', ':'))}\n")
     else:
-        _dump_json(d, out)
+        csv_keys = ("lemma", "checked", "skipped", "violated")
+        _write_record({k: d[k] for k in csv_keys} if fmt == "csv" else d, fmt, out)
     return 0 if d["violated"] == 0 else 1
 
 
-def _add_partition_arg(parser, flag: str, dest: str, required: bool = True):
+def _add_partition_arg(parser, flag: str, dest: str):
     parser.add_argument(
-        flag, dest=dest, required=required, help="partition, e.g. [6,5,3,1,1,1]"
+        flag, dest=dest, required=True, help="partition, e.g. [6,5,3,1,1,1]"
     )
+
+
+# lemma -> (the options it reads besides --n and --hooks, the verifier call);
+# a call gets the parsed arguments and the CombineConfig of --p/--r (or None)
+_VERIFIERS = {
+    "combine": (
+        ("p", "r"), lambda a, c: divisibility.verify_combine_congruence(a.n, c)
+    ),
+    "lemma61": (("m",), lambda a, c: divisibility.verify_lemma61(a.n, a.m, a.hooks)),
+    "lemma62": (("p", "r", "m"), lambda a, c: divisibility.verify_lemma62(a.n, a.m, c)),
+    "factorization": (
+        ("m",), lambda a, c: divisibility.verify_factorization(a.n, a.m, a.hooks)
+    ),
+    "prop-pm1": (
+        ("p", "r", "m"), lambda a, c: divisibility.verify_prop_pm1_sweep(a.n, a.m, c)
+    ),
+    "theorem3": (("p", "r"), lambda a, c: divisibility.verify_theorem3(a.n, c)),
+    "lemma81": (("p", "r"), lambda a, c: divisibility.verify_lemma81(a.n, c)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,15 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="exhaustive lemma checks")
     p_verify.add_argument(
         "lemma",
-        choices=(
-            "combine",
-            "lemma61",
-            "lemma62",
-            "factorization",
-            "prop-pm1",
-            "theorem3",
-            "lemma81",
-        ),
+        choices=tuple(_VERIFIERS),
     )
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--p", type=int)
@@ -244,31 +249,19 @@ def _require(args, *names) -> None:
 
 
 def _cmd_verify(args, out) -> int:
-    lemma = args.lemma
-    if lemma in ("combine", "lemma62", "prop-pm1", "theorem3", "lemma81"):
+    options, call = _VERIFIERS[args.lemma]
+    cfg = None
+    if "p" in options:
         _require(args, "p", "r")
         cfg = CombineConfig(args.p, args.r)
-    if lemma in ("lemma61", "lemma62", "factorization", "prop-pm1"):
+    if "m" in options:
         _require(args, "m")
         if args.m < 1:
             raise FormatError(f"--m must be at least 1, got {args.m}")
-    if lemma == "combine":
-        report = divisibility.verify_combine_congruence(args.n, cfg)
-    elif lemma == "lemma61":
-        report = divisibility.verify_lemma61(args.n, args.m, args.hooks)
-    elif lemma == "lemma62":
-        report = divisibility.verify_lemma62(args.n, args.m, cfg)
-    elif lemma == "factorization":
-        report = divisibility.verify_factorization(args.n, args.m, args.hooks)
-    elif lemma == "prop-pm1":
-        report = divisibility.verify_prop_pm1_sweep(args.n, args.m, cfg)
-    elif lemma == "theorem3":
-        report = divisibility.verify_theorem3(args.n, cfg)
-    else:
-        report = divisibility.verify_lemma81(args.n, cfg)
+    report = call(args, cfg)
     if report.checked == 0 and report.violated == 0:
         raise RangeError(
-            f"{lemma}: nothing to check at these parameters (checked=0 "
+            f"{args.lemma}: nothing to check at these parameters (checked=0 "
             f"skipped={report.skipped} violated=0)"
         )
     return _report_out(report, args.format, out)
@@ -285,9 +278,7 @@ def _cmd_stats(args, out) -> int:
             "n": args.n,
             "t": args.t,
             "non_tcores": count,
-            "bound": (args.t + 1) * stats.partition_count(max(args.n - args.t, 0))
-            if args.t <= args.n
-            else 0,
+            "bound": stats.non_tcore_bound(args.n, args.t),
         }
         _write_record(d, args.format, out)
         return 0

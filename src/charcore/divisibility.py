@@ -26,7 +26,7 @@ from .abacus import (
     skew_per_residue,
     strip_removals,
 )
-from .characters import _chi_values, chi, chi_column
+from .characters import _chi_values, _same_size, chi, chi_column
 from .errors import SizeCapError, UnreachableError
 from .partitions import (
     Partition,
@@ -545,10 +545,7 @@ def check_divisibility_theorem(lam, mu, cfg: CombineConfig) -> TheoremCheck:
     The contract is one-directional: whenever the hypothesis holds, p**r must
     divide the character value.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("lambda and mu must partition the same integer")
+    lam, mu = _same_size(lam, mu)
     hit = _hypothesis(hook_length_mask(lam), _sum_sets(mu, cfg))
     sizes, sums, _ = hit or (None, None, 0)
     divides = chi(lam, mu) % cfg.q == 0
@@ -607,10 +604,7 @@ def theorem1_pipeline(lam, mu, cfg: CombineConfig) -> PipelineResult:
     When the hypothesis fails the reduced character value is evaluated
     directly; either way the verdict matches p**r | chi(lam, mu).
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("lambda and mu must partition the same integer")
+    lam, mu = _same_size(lam, mu)
     reduced = reduce_partition(mu, cfg).output
     hit = _hypothesis(hook_length_mask(lam), _sum_sets(reduced, cfg))
     if hit:

@@ -78,10 +78,14 @@ def count_non_tcores(n: int, t: int) -> int:
     if t < 1:
         raise ValueError("t must be positive")
     count = sum(1 for lam in partitions_of(n) if not is_tcore(lam, t))
-    if t <= n:
-        # strip-removal bound; cannot fail, kept as a tripwire
-        assert count <= (t + 1) * partition_count(n - t)
+    # strip-removal bound; cannot fail, kept as a tripwire
+    assert count <= non_tcore_bound(n, t)
     return count
+
+
+def non_tcore_bound(n: int, t: int) -> int:
+    """(t+1) * p(n-t), 0 when t > n: a bound on the partitions of n with a t-hook."""
+    return (t + 1) * partition_count(n - t) if t <= n else 0
 
 
 def _ppower_table(p: int, kmax: int) -> list[int]:

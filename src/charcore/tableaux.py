@@ -137,11 +137,10 @@ def lr_coefficient(outer, inner, content) -> int:
     content = check_partition(content)
     if sum(outer) != sum(inner) + sum(content):
         return 0
-    if len(inner) > len(outer) or any(
-        t > outer[i] for i, t in enumerate(inner)
-    ):
+    try:
+        shape = SkewShape(outer, inner)
+    except ValueError:  # inner is not contained in outer
         return 0
-    shape = SkewShape(outer, inner)
     if shape.size == 0:
         return 1 if not content else 0
 

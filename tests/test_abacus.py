@@ -266,6 +266,14 @@ class TestBorderStripRemoval:
         with pytest.raises(ValueError):
             remove_border_strip(a, Hook(0, 4, 0))  # bead at index 4 is a 0
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_rejects_non_positive_length_before_any_scan(self, length):
+        from charcore.abacus import Hook
+
+        a = from_partition((2, 1))
+        with pytest.raises(ValueError, match="^hook length must be positive$"):
+            remove_border_strip(a, Hook(2, length, 0))
+
 
 class TestQuotient:
     def test_modulus_one_is_identity(self):

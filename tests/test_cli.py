@@ -125,6 +125,34 @@ class TestExitCodes:
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == f"charcore: error: --m must be at least 1, got {m}\n"
 
+    @pytest.mark.parametrize(
+        "lemma, option",
+        [
+            ("combine", "p"),
+            ("combine", "r"),
+            ("lemma61", "m"),
+            ("lemma62", "p"),
+            ("lemma62", "r"),
+            ("lemma62", "m"),
+            ("factorization", "m"),
+            ("prop-pm1", "p"),
+            ("prop-pm1", "r"),
+            ("prop-pm1", "m"),
+            ("theorem3", "p"),
+            ("theorem3", "r"),
+            ("lemma81", "p"),
+            ("lemma81", "r"),
+        ],
+    )
+    def test_verify_names_each_missing_option(self, lemma, option):
+        given = {"p": "2", "r": "2", "m": "2"}
+        args = [a for k, v in given.items() if k != option for a in (f"--{k}", v)]
+        res = run_cli("verify", lemma, "--n", "6", *args)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            f"charcore: error: --{option} is required for this subcommand\n"
+        )
+
     @pytest.mark.parametrize("t", ["1e400", "inf", "nan", "0", "-1"])
     def test_fp_rejects_non_finite_or_non_positive_t(self, t):
         res = run_cli("stats", "fp", "--p", "2", "--t", t)

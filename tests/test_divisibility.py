@@ -445,6 +445,14 @@ class TestDivisibilityTheorem:
         with pytest.raises(ValueError):
             check_divisibility_theorem((2, 1), (4,), CombineConfig(2, 1))
 
+    @pytest.mark.parametrize("check", [check_divisibility_theorem, theorem1_pipeline])
+    def test_size_mismatch_names_both_sizes_as_chi_does(self, check):
+        message = "^lambda and mu must partition the same integer, got 3 and 4$"
+        with pytest.raises(ValueError, match=message):
+            chi((2, 1), (4,))
+        with pytest.raises(ValueError, match=message):
+            check((2, 1), (4,), CombineConfig(2, 1))
+
     def test_constrained_tuple_count_bound(self):
         # tuples with some coordinate maxed number at most r*(R+1)^(r-1)
         for p, r in ((2, 2), (3, 2), (2, 3)):

@@ -1,6 +1,9 @@
+import json
+
 import mpmath
 import pytest
 
+from charcore import cli
 from charcore.abacus import is_tcore
 from charcore.divisibility import CombineConfig
 from charcore.errors import RangeError, SizeCapError
@@ -11,6 +14,7 @@ from charcore.stats import (
     exceeds_threshold,
     generating_function_fp,
     lemma91_delta,
+    non_tcore_bound,
     ppower_count,
     ppower_count_restricted,
     ppower_difference_check,
@@ -63,6 +67,14 @@ class TestNonTCores:
         for n in range(1, 18):
             for t in range(1, n + 1):
                 assert count_non_tcores(n, t) <= (t + 1) * partition_count(n - t)
+
+    def test_bound_is_the_cli_bound(self, capsys):
+        for n in range(31):
+            for t in range(1, n + 3):
+                argv = ["stats", "tcores", "--n", str(n), "--t", str(t)]
+                assert cli.main(argv) == 0
+                record = json.loads(capsys.readouterr().out)
+                assert non_tcore_bound(n, t) == record["bound"]
 
 
 class TestPPowerCounts:
