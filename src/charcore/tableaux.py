@@ -53,16 +53,21 @@ class SkewShape:
 
 
 def is_border_strip(shape: SkewShape) -> bool:
-    """True iff the skew diagram is edge-connected and free of 2x2 blocks.
-
-    On row spans: each nonempty row overlaps the next nonempty one in exactly
-    one column.  Rows with an empty row between them share no column, so this
-    also makes the nonempty rows consecutive.
-    """
+    """True iff the skew diagram is edge-connected and free of 2x2 blocks."""
     if shape.size == 0:
         raise ValueError("empty skew shape has no border-strip status")
-    rows = [(s, e) for s, e in shape.row_spans() if e > s]
-    return all(min(e, e2) - max(s, s2) == 1 for (s, e), (s2, e2) in zip(rows, rows[1:]))
+    return _is_strip([(s, e) for s, e in shape.row_spans() if e > s])
+
+
+def _is_strip(rows) -> bool:
+    """Border-strip test on the nonempty row spans of a skew diagram.
+
+    Starts and ends of a skew diagram's rows never increase downward, so a row
+    [s, e) and the next nonempty row [s2, e2) share the columns [s, e2): each
+    pair must share exactly one.  Rows with an empty row between them share
+    none, so this also makes the nonempty rows consecutive.
+    """
+    return all(e2 - s == 1 for (s, _), (_, e2) in zip(rows, rows[1:]))
 
 
 def _retrim(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -82,14 +87,28 @@ def _retrim(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _count_rows(rows: tuple[tuple[int, int], ...]) -> int:
+    """Standard fillings of the canonical row spans `rows` (see `_retrim`).
+
+    Every child passed down is canonical too: a shrunk row keeps its start, and
+    since starts never increase downward, a row that empties can hold column 0
+    alone only when it is the last row.
+    """
     if not rows:
         return 1
     total = 0
+    last = len(rows) - 1
     for i, (s, e) in enumerate(rows):
         # cell (i, e-1) can hold the largest entry iff nothing sits below it
-        if i + 1 == len(rows) or rows[i + 1][1] < e:
-            shrunk = rows[:i] + ((s, e - 1),) + rows[i + 1 :]
-            total += _count_rows(_retrim(shrunk))
+        if i < last and rows[i + 1][1] >= e:
+            continue
+        if e - s > 1:
+            child = rows[:i] + ((s, e - 1),) + rows[i + 1 :]
+        elif s:
+            child = rows[:i] + rows[i + 1 :]
+        else:
+            c0 = rows[i - 1][0] if i else 0
+            child = tuple((a - c0, b - c0) for a, b in rows[:i])
+        total += _count_rows(child)
     return total
 
 
@@ -201,6 +220,83 @@ def verify_lr_expansion(shape: SkewShape) -> LrExpansion:
     return LrExpansion(direct == expansion, direct, expansion)
 
 
+def _box_spans(
+    rows: int, cols: int, size: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Canonical row spans of every translation class of `size` cells in a box.
+
+    Each tuple has no empty row and its leftmost cell in column 0, so it is a
+    `_count_rows` key as it stands.  Starts and ends never increase downward,
+    so the last row holds the leftmost cell.
+    """
+    if size < 1:
+        raise ValueError("size must be positive")
+    if rows < 1:
+        return
+
+    def build(spans: tuple[tuple[int, int], ...], left: int):
+        max_s, max_e = spans[-1] if spans else (cols, cols)
+        for e in range(min(max_e, max_s + left), 0, -1):
+            for s in range(min(e - 1, max_s), max(e - left, 0) - 1, -1):
+                grown = spans + ((s, e),)
+                if e - s == left:
+                    if s == 0:
+                        yield grown
+                elif len(grown) < rows:
+                    yield from build(grown, left - (e - s))
+
+    yield from build((), size)
+
+
+def _box_class_count(rows: int, cols: int, size: int, cap: int) -> int:
+    """Translation classes of 1..size cells in a rows x cols box, or a bound past `cap`.
+
+    Every `_count_rows` key that a sweep of `_box_spans(rows, cols, size)`
+    reaches, but the empty one, is the span tuple of such a class, so this
+    bounds the memo.  When the classes of single-cell rows stepping left
+    already outnumber `cap`, their count is returned instead.
+    """
+    size = min(size, rows * cols)
+    depth = min(rows, size)
+    if min(depth, cols) < 1:
+        return 0
+    lower = term = 1
+    for j in range(1, depth):
+        term = term * (cols - 1 + j) // j  # j + 1 such rows: C(cols - 1 + j, j)
+        lower += term
+        if lower > cap:
+            return lower
+    # ways[s][e][k]: span tuples of k cells, one per row so far, the last [s, e)
+    ways = _grid(cols, size)
+    for e in range(1, cols + 1):
+        for s in range(max(e - size, 0), e):
+            ways[s][e][e - s] = 1
+    total = sum(sum(ways[0][e]) for e in range(1, cols + 1))
+    for _ in range(depth - 1):
+        # suffix sums over starts, then over ends: every row that fits above
+        for s in range(cols - 1, -1, -1):
+            for e in range(1, cols + 1):
+                ways[s][e] = [a + b for a, b in zip(ways[s][e], ways[s + 1][e])]
+        for s in range(cols):
+            for e in range(cols - 1, 0, -1):
+                ways[s][e] = [a + b for a, b in zip(ways[s][e], ways[s][e + 1])]
+        ways, above = _grid(cols, size), ways
+        for e in range(1, cols + 1):
+            for s in range(max(e - size, 0), e):
+                ways[s][e][e - s :] = above[s][e][: size + 1 - (e - s)]
+        total += sum(sum(ways[0][e]) for e in range(1, cols + 1))
+    return total
+
+
+def _grid(cols: int, size: int) -> list[list[list[int]]]:
+    return [[[0] * (size + 1) for _ in range(cols + 1)] for _ in range(cols + 1)]
+
+
+def _spans_shape(spans: tuple[tuple[int, int], ...]) -> SkewShape:
+    """The skew shape whose rows are the canonical `spans`."""
+    return SkewShape(tuple(e for _, e in spans), tuple(s for s, _ in spans if s > 0))
+
+
 def iter_box_skews(rows: int, cols: int, size: int) -> Iterator[SkewShape]:
     """All translation classes of skew shapes with `size` cells in a rows x cols box.
 
@@ -208,22 +304,5 @@ def iter_box_skews(rows: int, cols: int, size: int) -> Iterator[SkewShape]:
     in column 0.  Every skew shape fitting in the box canonicalizes to exactly
     one of these.
     """
-    if size < 1:
-        raise ValueError("size must be positive")
-
-    def build(row_spans: list[tuple[int, int]], left: int):
-        if left == 0:
-            if min(s for s, _ in row_spans) == 0:
-                outer = tuple(e for _, e in row_spans)
-                inner = tuple(s for s, _ in row_spans if s > 0)
-                yield SkewShape(outer, inner)
-            return
-        if len(row_spans) == rows:
-            return
-        max_s, max_e = (cols, cols) if not row_spans else row_spans[-1]
-        for e in range(max_e, 0, -1):
-            for s in range(min(e - 1, max_s), -1, -1):
-                if e - s <= left:
-                    yield from build(row_spans + [(s, e)], left - (e - s))
-
-    yield from build([], size)
+    for spans in _box_spans(rows, cols, size):
+        yield _spans_shape(spans)

@@ -462,3 +462,22 @@ def lemma62_per_row(n, m, cfg):
                 },
             )
     return report
+
+
+def lemma81_via_shapes(box, cfg):
+    """The lemma81 sweep on `SkewShape`s: build, strip-test and count each class."""
+    from charcore.divisibility import VerifyReport
+    from charcore.tableaux import count_skew_syt, is_border_strip, iter_box_skews
+
+    size = cfg.q
+    report = VerifyReport("lemma81", {"box": box, "p": cfg.p, "r": cfg.r})
+    for shape in iter_box_skews(box, box, size):
+        if is_border_strip(shape):
+            report.skipped += 1
+            continue
+        f = count_skew_syt(shape)
+        report.check(
+            f % cfg.p == 0,
+            {"shape": str(shape), "count": str(f), "p": cfg.p},
+        )
+    return report

@@ -90,6 +90,15 @@ class TestExitCodes:
         assert "capped" in res.stderr and "Traceback" not in res.stderr
 
     @pytest.mark.parametrize(
+        "box,p,r", [("65", "2", "1"), ("12", "2", "4"), ("27", "7", "1")]
+    )
+    def test_lemma81_cap_is_one_line_usage_error(self, box, p, r):
+        res = run_cli("verify", "lemma81", "--n", box, "--p", p, "--r", r)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("charcore: error: lemma81")
+        assert "capped" in res.stderr and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "args",
         [
             ("table", "4", "--threads", "-3"),
@@ -411,13 +420,56 @@ class TestDeterminism:
                 ("verify", "factorization", "--n", "14", "--m", "1", "--hooks", "4"),
                 "e7d10df9b32b5249dede98fa92d34ba990c9af8e2000a24354285072efc54b70",
             ),
+            (
+                (
+                    "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
+                    "--format", "json",
+                ),
+                "0f7782a253856b4b04b375a60d77f242b2265f29c21e0f6dd4355c503156b316",
+            ),
+            (
+                (
+                    "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
+                    "--format", "text",
+                ),
+                "4e115ebf1d5c90a3f616f8f0c8bf53fd9d99636f17d99b877b2766f526a6d234",
+            ),
+            (
+                (
+                    "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
+                    "--format", "csv",
+                ),
+                "0358424a84325c7daad24955362065c9b387a4e84c0ee2b274fc151c29ec86e9",
+            ),
+            (
+                (
+                    "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
+                    "--format", "json",
+                ),
+                "6392cf61b550ed30b5673e9d19087dbd9b6d80b8f3d20aef5e04af06fb458417",
+            ),
+            (
+                (
+                    "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
+                    "--format", "text",
+                ),
+                "aab003d92aaf0389c6b71fbed7db9dafd164df28456dc8430905c1f542697ceb",
+            ),
+            (
+                (
+                    "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
+                    "--format", "csv",
+                ),
+                "652091c332fe6c6db33b08dcd8fb7ed7e2de9e9ee5ab0ebb69fc3c1a72e83d6e",
+            ),
         ],
     )
     def test_core_and_residue_output_is_frozen(self, args, digest):
         # cores, residue skews, epsilon and border-strip checks feed the first
         # five, the conjugate-row fill and the shared prop-pm1 columns the next
-        # three, theorem 3's core test and the core-row walk the next four, and
-        # the hook-sequence counts of four removals per row the last two
+        # three, theorem 3's core test and the core-row walk the next four, the
+        # hook-sequence counts of four removals per row the next two, and the
+        # lemma81 sweep on canonical row spans the last six
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

@@ -35,6 +35,7 @@ from oracles import (
     hook_sequence_dfs,
     hook_sequence_signs,
     lemma62_per_row,
+    lemma81_via_shapes,
     prop_pm1_per_value,
     prop_pm1_sweep_per_value,
     random_order_reduce,
@@ -526,3 +527,60 @@ class TestLemma81Sweep:
     def test_small_box(self):
         report = verify_lemma81(6, CombineConfig(2, 2))
         assert report.ok and report.checked > 0
+
+    @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (5, 1)])
+    def test_span_sweep_matches_shape_sweep(self, p, r):
+        cfg = CombineConfig(p, r)
+        for box in range(8):
+            expected = lemma81_via_shapes(box, cfg).as_dict()
+            assert verify_lemma81(box, cfg).as_dict() == expected
+
+    def test_patched_violation_gives_the_same_witness(self, monkeypatch):
+        import charcore.tableaux as tableaux
+
+        cfg = CombineConfig(2, 2)
+        classes = [s for s in tableaux._box_spans(6, 6, 4) if not tableaux._is_strip(s)]
+        target = classes[len(classes) // 2]
+        real = tableaux._count_rows
+
+        def odd_at_target(rows):
+            return real(rows) + (rows == target)
+
+        monkeypatch.setattr(tableaux, "_count_rows", odd_at_target)
+        monkeypatch.setattr(divisibility, "_count_rows", odd_at_target)
+        report = verify_lemma81(6, cfg)
+        assert report.violated == 1
+        assert report.witness["shape"] == str(tableaux._spans_shape(target))
+        assert int(report.witness["count"]) % 2 == 1
+        assert report.as_dict() == lemma81_via_shapes(6, cfg).as_dict()
+
+    def test_memo_stays_within_the_class_count(self):
+        from charcore.tableaux import _box_class_count, _count_rows
+
+        _count_rows.cache_clear()
+        verify_lemma81(7, CombineConfig(2, 3))
+        reached = _count_rows.cache_info().currsize
+        assert reached <= _box_class_count(7, 7, 8, divisibility.LEMMA81_CAP) + 1
+
+    def test_admits_the_sweeps_in_use(self):
+        # the bench job, criterion 7 and the slow size-sixteen sweep
+        from charcore.tableaux import _box_class_count
+
+        cap = divisibility.LEMMA81_CAP
+        for q in (4, 8, 9, 16):
+            assert _box_class_count(8, 8, q, cap) <= cap
+
+    @pytest.mark.parametrize(
+        "box,p,r",
+        [
+            (9, 2, 4), (12, 2, 4), (8, 5, 2), (20, 2, 3), (8, 2, 30), (65, 2, 1),
+            (10**9, 2, 1),
+        ],
+    )
+    def test_cap_rejects_before_any_work(self, box, p, r, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept past the cap")
+
+        monkeypatch.setattr(divisibility, "_box_spans", no_sweep)
+        with pytest.raises(SizeCapError):
+            verify_lemma81(box, CombineConfig(p, r))

@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charcore.errors import SizeCapError
 from charcore.partitions import partitions_of
 from charcore.tableaux import (
     SkewShape,
+    _box_class_count,
+    _box_spans,
     count_skew_syt,
     count_syt,
     is_border_strip,
@@ -265,3 +268,54 @@ class TestBoxSkews:
                     tuple(s - c0 for s, _ in rows if s > c0),
                 )
                 assert canon in family
+
+
+class TestBoxSpans:
+    def test_spans_are_the_row_spans_of_the_shapes(self):
+        boxes = [(b, k) for b in range(1, 7) for k in range(1, b * b + 1)] + [(8, 8)]
+        for box, size in boxes:
+            spans = list(_box_spans(box, box, size))
+            shapes = [tuple(s.row_spans()) for s in iter_box_skews(box, box, size)]
+            assert spans == shapes, (box, size)
+
+    def test_rejects_an_empty_size(self):
+        with pytest.raises(ValueError):
+            next(_box_spans(3, 3, 0))
+
+    def test_class_count_matches_the_sweeps(self):
+        for rows in range(6):
+            for cols in range(6):
+                for size in range(1, 10):
+                    swept = sum(
+                        1 for k in range(1, size + 1) for _ in _box_spans(rows, cols, k)
+                    )
+                    assert _box_class_count(rows, cols, size, 10**9) == swept
+
+    def test_class_count_past_the_cap_is_a_lower_bound(self):
+        exact = _box_class_count(8, 8, 16, 10**9)
+        assert exact == 2087896
+        for cap in (0, 100, 10**4, exact - 1):
+            assert cap < _box_class_count(8, 8, 16, cap) <= exact
+
+
+def _skew_pairs():
+    outers = st.lists(st.integers(1, 8), min_size=1, max_size=8).map(
+        lambda xs: tuple(sorted(xs, reverse=True))
+    )
+
+    def inners(outer):
+        return st.tuples(*(st.integers(0, part) for part in outer)).map(
+            lambda xs: tuple(
+                x for x in (min(xs[: i + 1]) for i in range(len(xs))) if x > 0
+            )
+        )
+
+    return outers.flatmap(lambda o: st.tuples(st.just(o), inners(o)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_skew_pairs())
+def test_skew_count_matches_determinant(pair):
+    # drawn pairs keep empty rows and offsets, so the entry re-trim is exercised
+    outer, inner = pair
+    assert count_skew_syt(SkewShape(outer, inner)) == aitken_count(outer, inner)
