@@ -83,17 +83,13 @@ def _chi_values(masks, mu: Partition) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _row_masks(n: int) -> tuple[int, ...]:
-    """Bead masks of every row of size n in table order, encoded once."""
-    return tuple(bead_mask(from_partition(lam)) for lam in partitions_of(n))
-
-
-@lru_cache(maxsize=None)
-def _conjugate_rows(n: int) -> tuple[int, ...]:
-    """Table index of the conjugate of every row of size n, in table order."""
+def _row_table(n: int) -> tuple[tuple[int, int], ...]:
+    """(bead mask, index of the conjugate) of every row of size n, in table order."""
     parts = partitions_of(n)
     index = {lam: i for i, lam in enumerate(parts)}
-    return tuple(index[conjugate(lam)] for lam in parts)
+    return tuple(
+        (bead_mask(from_partition(lam)), index[conjugate(lam)]) for lam in parts
+    )
 
 
 def chi_column(mu) -> list[int]:
@@ -109,7 +105,7 @@ def chi_column(mu) -> list[int]:
     sign = -1 if (n - len(mu)) & 1 else 1
     memo: list[dict] = [{} for _ in mu]
     column: list[int] = []
-    for i, (w, j) in enumerate(zip(_row_masks(n), _conjugate_rows(n))):
+    for i, (w, j) in enumerate(_row_table(n)):
         column.append(_chi_mask(w, mu, 0, memo) if i <= j else sign * column[j])
     return column
 

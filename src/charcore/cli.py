@@ -21,7 +21,7 @@ import sys
 import mpmath
 
 from . import characters, divisibility, stats
-from .abacus import is_tcore, tcore
+from .abacus import tcore
 from .divisibility import CombineConfig
 from .errors import FormatError, RangeError
 from .partitions import (
@@ -224,7 +224,7 @@ def _cmd_core(args, out) -> int:
                 "lambda": format_partition(lam),
                 "t": args.t,
                 "core": format_partition(core),
-                "is_core": is_tcore(lam, args.t),
+                "is_core": core == lam,
             },
             out,
         )

@@ -13,8 +13,8 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import combinations, product
-from math import factorial, prod
-from typing import Iterable, Iterator, Sequence
+from math import factorial, isqrt, prod
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .abacus import (
     _aligned_runners,
@@ -48,17 +48,30 @@ from .tableaux import (
 CONGRUENCE_CAP = 16
 LEMMA81_BOX_CAP = 64
 LEMMA81_CAP = 2_100_000
+PRIME_CAP = 10**12
+# Python's default limit on int-to-str conversion: no larger power could be printed
+POWER_DIGITS = 4300
+_POWER_LIMIT = 10**POWER_DIGITS
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def check_prime(p: int) -> None:
+    """Raise unless p is a prime of at most PRIME_CAP, tested by trial division."""
+    if p > PRIME_CAP:
+        raise SizeCapError(f"prime capped at p <= {PRIME_CAP}, got {p}")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+def check_power(p: int, e: int) -> None:
+    """Raise SizeCapError when p**e would have more than POWER_DIGITS digits.
+
+    p**e >= 2**(e * (bits(p) - 1)), so a long power is refused on bit lengths
+    alone; a power is formed only when it has under twice the limit's bits.
+    """
+    if e * (p.bit_length() - 1) >= _POWER_LIMIT.bit_length() or p**e >= _POWER_LIMIT:
+        raise SizeCapError(
+            f"powers of p capped at {POWER_DIGITS} decimal digits, got {p}**{e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,10 +82,10 @@ class CombineConfig:
     r: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        check_prime(self.p)
         if self.r < 1:
             raise ValueError(f"r must be positive, got {self.r}")
+        check_power(self.p, self.r)
 
     @property
     def q(self) -> int:
@@ -185,13 +198,14 @@ class VerifyReport:
     def ok(self) -> bool:
         return self.violated == 0
 
-    def check(self, condition: bool, witness: dict) -> None:
+    def check(self, condition: bool, witness: Callable[[], dict]) -> None:
+        """Tally one assertion; `witness()` builds the case at the first violation."""
         if condition:
             self.checked += 1
         else:
             self.violated += 1
             if self.witness is None:
-                self.witness = witness
+                self.witness = witness()
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -219,7 +233,7 @@ def verify_combine_congruence(n: int, cfg: CombineConfig) -> VerifyReport:
             for lam, x, y in zip(rows, col_mu, col_nu):
                 report.check(
                     (x - y) % cfg.q == 0,
-                    {
+                    lambda: {
                         "lambda": format_partition(lam),
                         "mu": format_partition(mu),
                         "nu": format_partition(nu),
@@ -359,7 +373,7 @@ def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
         signs = [-1] * bool(odd) + [1] * bool(even)
         report.check(
             len(signs) == 1 and epsilon(lam, lam2, m) in signs,
-            {
+            lambda: {
                 "lambda": format_partition(lam),
                 "lambda2": format_partition(lam2),
                 "m": m,
@@ -376,7 +390,7 @@ def verify_factorization(n: int, m: int, max_hooks: int = 4) -> VerifyReport:
         predicted = _predicted_count(lam, lam2, m, count)[0]
         report.check(
             sum(pair) == predicted,
-            {
+            lambda: {
                 "lambda": format_partition(lam),
                 "lambda2": format_partition(lam2),
                 "m": m,
@@ -419,7 +433,7 @@ def verify_lemma62(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
         for lam2, _, c in groups:
             report.check(
                 c % cfg.p == 0,
-                {
+                lambda: {
                     "lambda": format_partition(lam),
                     "lambda2": format_partition(lam2),
                     "m": m,
@@ -481,7 +495,7 @@ def _prop_pm1(
         for lam2, one_sign, c in groups:
             report.check(
                 one_sign,
-                {
+                lambda: {
                     "lambda": format_partition(lam),
                     "lambda2": format_partition(lam2),
                     "issue": "mixed signs",
@@ -489,7 +503,7 @@ def _prop_pm1(
             )
             report.check(
                 c % cfg.p == 0,
-                {
+                lambda: {
                     "lambda": format_partition(lam),
                     "lambda2": format_partition(lam2),
                     "coefficient": c,
@@ -500,7 +514,7 @@ def _prop_pm1(
             expansion = sum(c * rhs[t][targets[lam2]] for lam2, _, c in groups)
             report.check(
                 lhs[t][i] == expansion,
-                {
+                lambda: {
                     "lambda": format_partition(lam),
                     "tau": format_partition(tau),
                     "chi": str(lhs[t][i]),
@@ -580,7 +594,7 @@ def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
                 column = chi_column(mu)
             report.check(
                 column[i] % cfg.q == 0,
-                {
+                lambda: {
                     "lambda": format_partition(lam),
                     "mu": format_partition(mu),
                     "chi": str(column[i]),
@@ -627,7 +641,7 @@ def verify_lemma81(box: int, cfg: CombineConfig) -> VerifyReport:
 
     Sweeps one representative per translation class; counts and strip status
     depend only on the class.  The classes of at most p**r cells in the box
-    bound the count memo, and are capped at LEMMA81_CAP.
+    bound the sweep's own count memo, and are capped at LEMMA81_CAP.
     """
     size = cfg.q
     if box > LEMMA81_BOX_CAP:
@@ -639,15 +653,14 @@ def verify_lemma81(box: int, cfg: CombineConfig) -> VerifyReport:
             f"{cfg.p}**{cfg.r}, got at least {classes} in box {box}"
         )
     report = VerifyReport("lemma81", {"box": box, "p": cfg.p, "r": cfg.r})
+    memo: dict = {}
     for spans in _box_spans(box, box, size):
         if _is_strip(spans):
             report.skipped += 1
             continue
-        f = _count_rows(spans)
-        if f % cfg.p == 0:
-            report.checked += 1
-        else:
-            report.check(
-                False, {"shape": str(_spans_shape(spans)), "count": str(f), "p": cfg.p}
-            )
+        f = _count_rows(spans, memo)
+        report.check(
+            f % cfg.p == 0,
+            lambda: {"shape": str(_spans_shape(spans)), "count": str(f), "p": cfg.p},
+        )
     return report

@@ -16,7 +16,7 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .abacus import is_tcore
 from .characters import CharacterTable, build_table
-from .divisibility import CombineConfig, is_prime, reduce_partition
+from .divisibility import CombineConfig, check_power, check_prime, reduce_partition
 from .errors import RangeError, SizeCapError
 from .partitions import (
     multiplicities,
@@ -100,8 +100,7 @@ def _ppower_table(p: int, kmax: int) -> list[int]:
 
 def ppower_count(p: int, k: int) -> int:
     """Number of partitions of k into powers of p (1 for k = 0)."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > PPOWER_CAP:
@@ -115,12 +114,12 @@ def ppower_count_restricted(p: int, r: int, s: int, k: int) -> int:
     A partition counts when the fixpoint of the combining rewrite has fewer
     than p**(r-1) parts of size p**j for every j >= s.  Read off the carry DP.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if r < 1 or s < 0 or k < 0:
         raise ValueError("r must be positive and s, k nonnegative")
     if k > RESTRICTED_CAP:
         raise SizeCapError(f"capped at k <= {RESTRICTED_CAP}, got {k}")
+    check_power(p, r)
     return restricted_counts_table(p, r, s, k)[k]
 
 
@@ -181,6 +180,7 @@ def ppower_difference_check(p: int, r: int, s: int, k: int) -> BoundCheck:
     """
     if s < 2:
         raise RangeError(f"s must be at least 2, got {s}")
+    check_power(p, r + s - 1)
     if k * s < p ** (r + s - 1) * (s + 4):
         raise RangeError(
             f"k={k} is below the validity threshold p**(r+s-1)*(1+4/s)"
@@ -203,8 +203,7 @@ def generating_function_fp(p: int, t, dps: int = 30):
     far below the returned precision.  Tested against the truncated series
     `fp_series` in `tests/oracles.py`.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     with mpmath.workdps(dps + 15):
         tt = mpmath.mpf(t)
         if not (mpmath.isfinite(tt) and tt > 0):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -17,6 +16,9 @@ from .partitions import (
 )
 
 LR_VERIFICATION_CAP = 9
+# count_skew_syt's memo for the life of the process: its callers ask about the
+# same small shapes again and again; a lemma81 sweep keeps a memo of its own
+_SKEW_COUNTS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,19 @@ def _retrim(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _count_rows(rows: tuple[tuple[int, int], ...]) -> int:
+def _count_rows(rows: tuple[tuple[int, int], ...], memo: dict) -> int:
     """Standard fillings of the canonical row spans `rows` (see `_retrim`).
 
-    Every child passed down is canonical too: a shrunk row keeps its start, and
-    since starts never increase downward, a row that empties can hold column 0
-    alone only when it is the last row.
+    `memo` maps the span tuples counted so far to their counts, and lives as
+    long as the caller keeps it.  Every child passed down is canonical too: a
+    shrunk row keeps its start, and since starts never increase downward, a
+    row that empties can hold column 0 alone only when it is the last row.
     """
     if not rows:
         return 1
+    total = memo.get(rows)
+    if total is not None:
+        return total
     total = 0
     last = len(rows) - 1
     for i, (s, e) in enumerate(rows):
@@ -108,7 +113,8 @@ def _count_rows(rows: tuple[tuple[int, int], ...]) -> int:
         else:
             c0 = rows[i - 1][0] if i else 0
             child = tuple((a - c0, b - c0) for a, b in rows[:i])
-        total += _count_rows(child)
+        total += _count_rows(child, memo)
+    memo[rows] = total
     return total
 
 
@@ -119,7 +125,7 @@ def count_skew_syt(shape: SkewShape) -> int:
     columns.  Computed by corner-removal recursion, memoized on the
     translation-canonical row spans.
     """
-    return _count_rows(_retrim(tuple(shape.row_spans())))
+    return _count_rows(_retrim(tuple(shape.row_spans())), _SKEW_COUNTS)
 
 
 def count_syt(shape) -> int:

@@ -379,7 +379,7 @@ def prop_pm1_per_value(lam, m, cfg, report=None):
         signs = set(seqs)
         report.check(
             len(signs) == 1,
-            {
+            lambda: {
                 "lambda": format_partition(lam),
                 "lambda2": format_partition(lam2),
                 "issue": "mixed signs",
@@ -389,7 +389,7 @@ def prop_pm1_per_value(lam, m, cfg, report=None):
         coeffs[lam2] = c
         report.check(
             c % cfg.p == 0,
-            {
+            lambda: {
                 "lambda": format_partition(lam),
                 "lambda2": format_partition(lam2),
                 "coefficient": c,
@@ -402,7 +402,7 @@ def prop_pm1_per_value(lam, m, cfg, report=None):
         rhs = sum(c * chi(lam2, tau) for lam2, c in coeffs.items())
         report.check(
             lhs == rhs,
-            {
+            lambda: {
                 "lambda": format_partition(lam),
                 "tau": format_partition(tau),
                 "chi": str(lhs),
@@ -453,7 +453,7 @@ def lemma62_per_row(n, m, cfg):
         for lam2, seqs in hook_sequence_dfs(lam, m, count).items():
             report.check(
                 len(seqs) % cfg.p == 0,
-                {
+                lambda: {
                     "lambda": format_partition(lam),
                     "lambda2": format_partition(lam2),
                     "m": m,
@@ -478,6 +478,6 @@ def lemma81_via_shapes(box, cfg):
         f = count_skew_syt(shape)
         report.check(
             f % cfg.p == 0,
-            {"shape": str(shape), "count": str(f), "p": cfg.p},
+            lambda: {"shape": str(shape), "count": str(f), "p": cfg.p},
         )
     return report

@@ -174,9 +174,9 @@ class TestTable:
             return encode(parts)
 
         monkeypatch.setattr(characters, "from_partition", counted)
-        characters._row_masks.cache_clear()
+        characters._row_table.cache_clear()
         build_table(9)
-        characters._row_masks.cache_clear()
+        characters._row_table.cache_clear()
         assert calls == list(partitions_of(9))
 
     def test_threads_bit_identical(self, tables):

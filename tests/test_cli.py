@@ -6,6 +6,7 @@ import sys
 import pytest
 
 BASE = [sys.executable, "-m", "charcore"]
+BIG_P = "100000000000000003"  # a prime past divisibility.PRIME_CAP
 
 
 def run_cli(*args):
@@ -97,6 +98,29 @@ class TestExitCodes:
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr.startswith("charcore: error: lemma81")
         assert "capped" in res.stderr and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("stats", "ppower", "--p", BIG_P, "--k", "5"), "prime capped"),
+            (("stats", "ppower", "--p", BIG_P, "--k", "5", "--r", "1", "--s", "1"),
+             "prime capped"),
+            (("stats", "fp", "--p", BIG_P, "--t", "2"), "prime capped"),
+            (("verify", "theorem3", "--n", "10", "--p", BIG_P, "--r", "1"),
+             "prime capped"),
+            (("verify", "theorem3", "--n", "10", "--p", "3", "--r", "100000000"),
+             "4300 decimal digits"),
+            (("stats", "ppower", "--p", "3", "--k", "5", "--r", "10000000", "--s", "1"),
+             "4300 decimal digits"),
+            (("stats", "pdiff", "--p", "3", "--r", "5", "--s", "100000000", "--k", "5"),
+             "4300 decimal digits"),
+        ],
+    )
+    def test_prime_and_power_caps_are_one_line_usage_errors(self, args, message):
+        res = run_cli(*args)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("charcore: error: ") and message in res.stderr
+        assert res.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args",

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -59,6 +60,24 @@ class TestCombineConfig:
 
     def test_prime_case_allowed(self):
         assert CombineConfig(2, 1).q == 2
+
+    def test_prime_cap(self):
+        assert CombineConfig(999999999989, 1).q == 999999999989
+        with pytest.raises(SizeCapError, match="prime capped"):
+            CombineConfig(100000000000000003, 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 999999999989])
+    def test_power_cap_falls_at_the_printable_digits(self, p):
+        e = int(4300 / math.log10(p))
+        while p ** (e + 1) < 10**4300:
+            e += 1
+        while p**e >= 10**4300:
+            e -= 1
+        assert CombineConfig(p, e).q == p**e
+        with pytest.raises(SizeCapError, match="4300 decimal digits"):
+            CombineConfig(p, e + 1)
+        with pytest.raises(SizeCapError, match="4300 decimal digits"):
+            CombineConfig(p, 10**12)
 
 
 class TestCombineStep:
@@ -167,6 +186,21 @@ class TestCombineCongruence:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             verify_combine_congruence(17, CombineConfig(2, 2))
+
+    def test_witness_is_the_first_of_two_failures(self, monkeypatch):
+        real = divisibility.chi_column
+
+        def shifted(mu):
+            # chi^[3,1] off by one on [2,1,1], which meets [2,2] and [1,1,1,1]
+            return [x + (mu == (2, 1, 1) and i == 1) for i, x in enumerate(real(mu))]
+
+        monkeypatch.setattr(divisibility, "chi_column", shifted)
+        report = verify_combine_congruence(4, CombineConfig(2, 1))
+        assert report.violated == 2
+        assert report.witness == {
+            "lambda": "[3,1]", "mu": "[2,1,1]", "nu": "[2,2]",
+            "chi_mu": "2", "chi_nu": "-1", "modulus": 2,
+        }
 
 
 def _sign_counts(groups):
@@ -309,6 +343,21 @@ class TestFactorization:
             for m in (1, 2, 3):
                 report = verify_factorization(n, m, max_hooks=3)
                 assert report.ok, report.as_dict()
+
+    def test_witness_is_the_first_of_two_failures(self, monkeypatch):
+        real = divisibility._predicted_count
+
+        def one_more_at_three(lam, lam2, m, count):
+            # [4] and [3,1] each reach [3]
+            predicted, *rest = real(lam, lam2, m, count)
+            return predicted + (lam2 == (3,)), *rest
+
+        monkeypatch.setattr(divisibility, "_predicted_count", one_more_at_three)
+        report = verify_factorization(4, 1, 1)
+        assert report.violated == 2
+        assert report.witness == {
+            "lambda": "[4]", "lambda2": "[3]", "m": 1, "direct": 1, "predicted": 2
+        }
 
 
 class TestLemma62:
@@ -487,6 +536,20 @@ class TestDivisibilityTheorem:
         report = verify_theorem3(12, CombineConfig(2, 2))
         assert report.checked > 0
 
+    def test_witness_is_the_first_of_two_failures(self, monkeypatch):
+        real = divisibility.chi_column
+
+        def odd_on_three_one(mu):
+            # [3,1] and [2,1,1] are the rows checked on [3,1], both 3-cores
+            return [x + (mu == (3, 1)) for x in real(mu)]
+
+        monkeypatch.setattr(divisibility, "chi_column", odd_on_three_one)
+        report = verify_theorem3(4, CombineConfig(2, 1))
+        assert report.violated == 2
+        assert report.witness == {
+            "lambda": "[3,1]", "mu": "[3,1]", "chi": "1", "modulus": 2
+        }
+
 
 class TestPipeline:
     def test_agrees_with_direct_evaluation(self):
@@ -543,8 +606,8 @@ class TestLemma81Sweep:
         target = classes[len(classes) // 2]
         real = tableaux._count_rows
 
-        def odd_at_target(rows):
-            return real(rows) + (rows == target)
+        def odd_at_target(rows, memo):
+            return real(rows, memo) + (rows == target)
 
         monkeypatch.setattr(tableaux, "_count_rows", odd_at_target)
         monkeypatch.setattr(divisibility, "_count_rows", odd_at_target)
@@ -554,13 +617,37 @@ class TestLemma81Sweep:
         assert int(report.witness["count"]) % 2 == 1
         assert report.as_dict() == lemma81_via_shapes(6, cfg).as_dict()
 
-    def test_memo_stays_within_the_class_count(self):
-        from charcore.tableaux import _box_class_count, _count_rows
+    @staticmethod
+    def _sweep_memos(monkeypatch, box, cfg):
+        """The memo of every count call that verify_lemma81(box, cfg) makes."""
+        memos, real = [], divisibility._count_rows
 
-        _count_rows.cache_clear()
-        verify_lemma81(7, CombineConfig(2, 3))
-        reached = _count_rows.cache_info().currsize
-        assert reached <= _box_class_count(7, 7, 8, divisibility.LEMMA81_CAP) + 1
+        def spy(rows, memo):
+            memos.append(memo)
+            return real(rows, memo)
+
+        monkeypatch.setattr(divisibility, "_count_rows", spy)
+        verify_lemma81(box, cfg)
+        return memos
+
+    def test_memo_stays_within_the_class_count(self, monkeypatch):
+        from charcore.tableaux import _box_class_count
+
+        memos = self._sweep_memos(monkeypatch, 7, CombineConfig(2, 3))
+        reached = len(memos[0])
+        assert reached <= _box_class_count(7, 7, 8, divisibility.LEMMA81_CAP)
+
+    def test_no_memo_entry_outlives_the_sweep(self, monkeypatch):
+        import gc
+
+        import charcore.tableaux as tableaux
+
+        kept = len(tableaux._SKEW_COUNTS)
+        memos = self._sweep_memos(monkeypatch, 6, CombineConfig(2, 3))
+        assert memos[0] and all(memo is memos[0] for memo in memos)
+        # only the list above still holds the sweep's memo
+        assert gc.get_referrers(memos[0]) == [memos]
+        assert len(tableaux._SKEW_COUNTS) == kept
 
     def test_admits_the_sweeps_in_use(self):
         # the bench job, criterion 7 and the slow size-sixteen sweep

@@ -1,7 +1,8 @@
-"""Dead-code guard over the library source, read with the stdlib `ast` module.
+"""Guards over the library source, read with the stdlib `ast` module.
 
-Every name a module imports must be used in it, and every private top-level
-name (`_x`, not a dunder) must be referenced somewhere in the package.
+Every name a module imports must be used in it, every private top-level
+name (`_x`, not a dunder) must be referenced somewhere in the package, and
+only `VerifyReport` sets a verifier's tallies.
 """
 
 import ast
@@ -75,3 +76,26 @@ def test_every_private_name_is_referenced():
         if name not in referenced
     ]
     assert not dead, f"private names nothing references: {dead}"
+
+
+TALLIES = {"checked", "violated", "witness"}
+
+
+def _tally_stores(node):
+    """(line, field) of every assignment to a verifier tally outside VerifyReport."""
+    if isinstance(node, ast.ClassDef) and node.name == "VerifyReport":
+        return
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr in TALLIES
+    ):
+        yield node.lineno, node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _tally_stores(child)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_verifiers_tally_only_through_verify_report(module):
+    stores = list(_tally_stores(TREES[module]))
+    assert not stores, f"{module}: tally set outside VerifyReport: {stores}"

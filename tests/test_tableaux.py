@@ -238,11 +238,9 @@ class TestComponents:
 def test_skew_multiplicity_at_size_sixteen():
     # fourth power of 2: every skew that big in an 8x8 box fails the strip test
     from charcore.divisibility import CombineConfig, verify_lemma81
-    from charcore.tableaux import _count_rows
 
     report = verify_lemma81(8, CombineConfig(2, 4))
     assert report.ok and report.checked > 0 and report.skipped == 0
-    _count_rows.cache_clear()
 
 
 class TestBoxSkews:
