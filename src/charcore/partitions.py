@@ -8,7 +8,7 @@ as conjugacy-class cycle types.  All arithmetic is exact (Python integers).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Iterator, Mapping
@@ -147,20 +147,38 @@ def from_multiplicities(mult: Mapping[int, int]) -> Partition:
 
 
 _bounded: list[list[int]] = [[1]]
+_pprefix = [0]  # _pprefix[t] = p(0) + ... + p(t - 1)
 
 
 def _bounded_counts(n: int) -> list[list[int]]:
-    """Rows 0..n of `_bounded`: row k, entry m (m <= k) counts the partitions of
-    k into parts <= m.  Quadratic in n: about 126 MB at n = 2000, 299 MB at 3000."""
+    """Rows 0..n of `_bounded`, and `_pprefix` up to t = n.  Row k holds entry
+    m for m <= k // 2 only: the partitions of k into parts <= m.  Past k // 2,
+    a partition of k with a part j > m is j plus any partition of k - j, so
+    they number _pprefix[k - m] and the entry is p(k) minus that
+    (`_bounded_entry`).  Quadratic in n: a process holding it is about 72 MB
+    at n = 2000, 157 MB at 3000."""
+    partition_count(n)
+    while len(_pprefix) <= n:
+        _pprefix.append(_pprefix[-1] + _pcount[len(_pprefix) - 1])
     while len(_bounded) <= n:
         k = len(_bounded)
+        # partitions of k with largest part j, stored for 3j <= k
         terms = chain(
-            (_bounded[k - m][m] for m in range(1, k // 2 + 1)),
-            (_bounded[k - m][-1] for m in range(k // 2 + 1, k + 1)),
+            (_bounded[k - j][j] for j in range(1, k // 3 + 1)),
+            (
+                _pcount[k - j] - _pprefix[k - 2 * j]
+                for j in range(k // 3 + 1, k // 2 + 1)
+            ),
         )
         # the copy is exact-size; the list that accumulate fills over-allocates
         _bounded.append(list(accumulate(terms, initial=0))[:])
     return _bounded
+
+
+def _bounded_entry(k: int, m: int) -> int:
+    """Partitions of k into parts <= m (0 <= m <= k), once row k is built."""
+    row = _bounded[k]
+    return row[m] if m < len(row) else _pcount[k] - _pprefix[k - m]
 
 
 def sample_seed(seed: int, i: int) -> int:
@@ -179,9 +197,11 @@ def sample_seed(seed: int, i: int) -> int:
 def sample_uniform(n: int, rng_seed: int) -> Partition:
     """Draw one partition of n, exactly uniformly over all p(n) of them.
 
-    Picks each successive largest part by bisecting the nondecreasing row
-    `table[remaining]` at one integer draw: O(log n) per part, the output a
-    pure function of (n, rng_seed).  The table is quadratic in n.
+    Picks each successive largest part m at one integer draw, as the least m
+    whose count of partitions of the remainder into parts <= m reaches the
+    draw: a bisection of the stored half row, or of the prefix sums of p for
+    m above it.  O(log n) per part, the output a pure function of
+    (n, rng_seed).  The table is quadratic in n.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -194,8 +214,18 @@ def sample_uniform(n: int, rng_seed: int) -> Partition:
     while remaining:
         row = table[remaining]
         b = min(bound, remaining)
-        # the least m with row[m] >= row[b] - u, u uniform below row[b]
-        m = bisect_left(row, row[b] - rng.randrange(row[b]), 1, b + 1)
+        count = _bounded_entry(remaining, b)
+        # the least m with _bounded_entry(remaining, m) >= target
+        target = count - rng.randrange(count)
+        top = min(b, len(row) - 1)
+        if row[top] >= target:
+            m = bisect_left(row, target, 1, top + 1)
+        else:
+            # past the stored half the count is p(remaining) - _pprefix[t] with
+            # t = remaining - m: take the largest t with _pprefix[t] <= v
+            v = _pcount[remaining] - target
+            t = bisect_right(_pprefix, v, remaining - b, remaining - top) - 1
+            m = remaining - t
         parts.append(m)
         remaining, bound = remaining - m, m
     return tuple(parts)

@@ -318,6 +318,40 @@ def prop4_empirical(
     )
 
 
+def _series_floor(coeffs: list[int], z):
+    """sum(c * z**k for k, c in enumerate(coeffs)), rounded down, for integer
+    coefficients c >= 0 and an mpf 0 < z < 1, as an mpf of the working precision.
+
+    Horner's rule on Python integers in binary fixed point with B fractional
+    bits.  With z = man * 2**exp exactly, the step
+    acc = ((acc * man) >> -exp) + (c << B) multiplies by z itself and floors
+    to a multiple of 2**-B.  Each floor loses less than 2**-B, z < 1 shrinks
+    the losses already made, and the first step (from acc = 0) is exact, so
+    the sum S and its fixed-point value S' obey 0 <= S - S' < (K - 1) * 2**-B
+    for K = len(coeffs).  B starts at the working precision plus 64 guard bits
+    and doubles until acc >= K * 2**prec, so that (S - S') / S < 2**-prec;
+    cutting acc to prec bits rounds down again and loses less than
+    2**(1 - prec).  At DELTA_DPS + 15 digits the relative error is thus below
+    10**-(DELTA_DPS + 13).  Tested against the per-term loop
+    `delta_series_terms` in `tests/oracles.py`.
+    """
+    if not any(coeffs):
+        return mpmath.mpf(0)
+    man, exp = z.man_exp
+    prec = mpmath.mp.prec
+    bits = prec + 64
+    while True:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = ((acc * man) >> -exp) + (c << bits)
+        if acc >> prec >= len(coeffs):
+            break
+        bits *= 2
+    drop = max(0, acc.bit_length() - prec)
+    # at most prec bits remain, so the mpf is exact
+    return mpmath.mpf((acc >> drop, drop - bits))
+
+
 def lemma91_delta(
     n: int,
     cfg: CombineConfig,
@@ -326,10 +360,17 @@ def lemma91_delta(
 ) -> BoundCheck:
     """Numeric evaluation of the weighted deficiency sum Delta (report-only).
 
-    The inner sums are truncated at an adaptively chosen k with a rigorous
-    geometric tail bound below `tail` (positive, finite); all summands are
-    nonnegative, so the reported value is a certified lower bound on the
-    untruncated Delta.
+    What the value states, exactly:
+    - the inner sums are truncated at an adaptively chosen k; the dropped
+      terms are all nonnegative and `tail_bound`, a geometric bound below
+      `tail` (positive, finite), bounds their sum rigorously;
+    - each inner sum is evaluated by `_series_floor`, which rounds down;
+    - exp(-l/x) is rounded to nearest at DELTA_DPS + 15 digits, and each
+      `generating_function_fp` denominator is evaluated at that precision and
+      rounded to nearest at DELTA_DPS digits; the division, the sum over l
+      and the reported DELTA_DPS digits round to nearest as well.
+    So Delta is a lower bound of the untruncated sum up to those roundings
+    to nearest, not a certified one.
     """
     if not (mpmath.isfinite(tail) and tail > 0):
         raise ValueError(f"tail must be positive and finite, got {tail}")
@@ -371,13 +412,7 @@ def lemma91_delta(
         deficit = [a - b for a, b in zip(total, good)]
         delta = mpmath.mpf(0)
         for l in ells:
-            z = mpmath.exp(-mpmath.mpf(l) / x)
-            zk = mpmath.mpf(1)
-            inner = mpmath.mpf(0)
-            for k in range(kmax + 1):
-                if deficit[k]:
-                    inner += deficit[k] * zk
-                zk *= z
+            inner = _series_floor(deficit, mpmath.exp(-mpmath.mpf(l) / x))
             delta += inner / generating_function_fp(cfg.p, x / l, dps=DELTA_DPS)
         result = delta
         tail_str = mpmath.nstr(bound, 8)

@@ -270,6 +270,19 @@ def fp_series(p, t, dps=30):
         return +value
 
 
+def delta_series_terms(coeffs, z):
+    """sum(c * z**k for k, c in enumerate(coeffs)) term by term in mpf: one
+    power, product and sum per term, each rounded to nearest at the working
+    precision (the library sums it in fixed point, `stats._series_floor`)."""
+    acc = mpmath.mpf(0)
+    zk = mpmath.mpf(1)
+    for c in coeffs:
+        if c:
+            acc += c * zk
+        zk *= z
+    return acc
+
+
 def connected_components(shape):
     """Maximal edge-connected pieces of a skew shape, each as its own SkewShape."""
     from charcore.tableaux import SkewShape

@@ -386,6 +386,41 @@ class TestDeterminism:
         "args,digest",
         [
             (
+                ("--n", "1000000", "--p", "2", "--r", "2", "--L", "196"),
+                "23d2daf8695acba89bd91b9b46b792d95b86c215986db2b20c687b65c31f1a4f",
+            ),
+            (
+                ("--n", "1000000", "--p", "3", "--r", "1", "--L", "400"),
+                "182202a4283fc65097271102200813142e330f4a158fbaa04348739fa1867833",
+            ),
+            (
+                ("--n", "1000000", "--p", "2", "--r", "3", "--L", "100"),
+                "f84dfbc565403a0f0d07d935e5ae6ab773b2de05468a0867229d6518faa16a4d",
+            ),
+            (
+                ("--n", "100000", "--p", "3", "--r", "2", "--L", "50", "--tail", "1e-9"),
+                "2da7ca41b97717795ca3d1649e867b43269f2aa73c847ac2b97e4b74f1d560ad",
+            ),
+            (
+                (
+                    "--n", "1000000", "--p", "2", "--r", "1", "--L", "200",
+                    "--tail", "0.001",
+                ),
+                "0d6a548435ae8deb33bcd97393111cdd56a9dbdd4d9cad1a05779acec46bccf4",
+            ),
+        ],
+    )
+    def test_delta_output_is_frozen(self, args, digest):
+        # the README example, p = 3, r = 3, and two non-default tails, the last
+        # with s = 1; every digit of Delta and of its detail is compared
+        res = run_cli("stats", "delta", *args)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
                 ("core", "--lambda", "[6,5,3,1,1,1]", "--t", "5", "--format", "json"),
                 "75adda385be54da47ef8ce0d12a202ca0c3e332519adbc2aceccb7cd00d3b9d1",
             ),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from charcore.errors import FormatError, SizeCapError
 from charcore.partitions import (
     _bounded_counts,
+    _bounded_entry,
     check_partition,
     conjugate,
     enumerate_partitions,
@@ -219,12 +220,16 @@ class TestSampling:
         assert sample_uniform(n, seed) == linear_scan_sample(n, seed)
 
     def test_bounded_rows_match_recurrence(self):
-        assert _bounded_counts(300)[:301] == bounded_counts_reference(300)
+        _bounded_counts(300)
+        reference = bounded_counts_reference(300)
+        for k in range(301):
+            for m in range(k + 1):
+                assert _bounded_entry(k, m) == reference[k][m]
 
     def test_bounded_diagonal_is_partition_count(self):
-        table = _bounded_counts(30)
+        _bounded_counts(30)
         for k in range(31):
-            assert table[k][k] == len(partitions_of(k))
+            assert _bounded_entry(k, k) == len(partitions_of(k))
 
     @pytest.mark.parametrize("n,samples", [(6, 40000), (10, 60000)])
     def test_goodness_of_fit(self, n, samples):

@@ -2,6 +2,7 @@ import json
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from charcore import cli
 from charcore.abacus import is_tcore
@@ -9,6 +10,8 @@ from charcore.divisibility import CombineConfig
 from charcore.errors import RangeError, SizeCapError
 from charcore.partitions import partition_count, partitions_of
 from charcore.stats import (
+    DELTA_DPS,
+    _series_floor,
     count_non_tcores,
     density_report,
     exceeds_threshold,
@@ -21,7 +24,12 @@ from charcore.stats import (
     prop4_empirical,
     prop4_threshold,
 )
-from oracles import brute_ppower_count, brute_restricted_count, fp_series
+from oracles import (
+    brute_ppower_count,
+    brute_restricted_count,
+    delta_series_terms,
+    fp_series,
+)
 
 
 class TestDensity:
@@ -298,3 +306,35 @@ class TestLemma91Delta:
         cfg = CombineConfig(2, 2)
         with pytest.raises(RangeError):
             lemma91_delta(10**6, cfg, 1.0)
+
+
+class TestSeriesKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.integers(0, 10**40), max_size=600),
+        st.floats(0, 1, exclude_min=True, exclude_max=True),
+        st.booleans(),
+    )
+    @example([0] * 599 + [1], 2.0**-100, False)
+    @example([10**40] * 600, 1 - 2.0**-53, True)
+    def test_rounds_down_within_documented_bound(self, coeffs, w, full):
+        # z is a short float mantissa, or a full-precision one from sqrt
+        with mpmath.workdps(DELTA_DPS + 15):
+            prec = mpmath.mp.prec
+            z = mpmath.sqrt(w) if full else mpmath.mpf(w)
+            got = _series_floor(coeffs, z)
+            assert got.man_exp[0].bit_length() <= prec
+        with mpmath.workprec(2 * prec):
+            ref = delta_series_terms(coeffs, z)
+            # the reference's own nearest rounding, first order in 2**-(2 prec)
+            slack = 4 * (len(coeffs) + 1) * ref * mpmath.ldexp(1, -2 * prec)
+            assert got <= ref + slack
+            assert ref - got <= 3 * ref * mpmath.ldexp(1, -prec) + slack
+
+    def test_exact_sums_come_back_exact(self):
+        with mpmath.workdps(DELTA_DPS + 15):
+            assert _series_floor([0] * 40, mpmath.mpf("0.5")) == 0
+            assert _series_floor([3, 0, 5], mpmath.mpf("0.5")) == mpmath.mpf("4.25")
+            assert _series_floor([0] * 599 + [1], mpmath.ldexp(1, -100)) == (
+                mpmath.ldexp(1, -59900)
+            )
