@@ -331,9 +331,9 @@ def _series_floor(coeffs: list[int], z):
     for K = len(coeffs).  B starts at the working precision plus 64 guard bits
     and doubles until acc >= K * 2**prec, so that (S - S') / S < 2**-prec;
     cutting acc to prec bits rounds down again and loses less than
-    2**(1 - prec).  At DELTA_DPS + 15 digits the relative error is thus below
-    10**-(DELTA_DPS + 13).  Tested against the per-term loop
-    `delta_series_terms` in `tests/oracles.py`.
+    2**(1 - prec).  The relative error is thus below 3 * 2**-prec, under
+    10**-(DELTA_DPS + 13) at DELTA_DPS + 15 digits.  Tested against the
+    per-term loop `delta_series_terms` in `tests/oracles.py`.
     """
     if not any(coeffs):
         return mpmath.mpf(0)
