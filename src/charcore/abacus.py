@@ -231,15 +231,17 @@ def tcore(parts, t: int) -> Partition:
     """The t-core: what remains after removing length-t hooks until none exist.
 
     Computed by pushing every bead of each runner as far down as it goes; the
-    result is independent of the removal order.
+    result is independent of the removal order.  Runner c then holds its k
+    beads at c, c + t, ..., c + t*(k-1).
     """
     if t < 1:
         raise ValueError("t must be positive")
-    w = 0
-    for c, levels in enumerate(_runners(_beta_numbers(check_partition(parts)), t)):
-        # bits c, c + t, ..., c + t*(k-1) for the k beads of runner c
-        w |= ((1 << t * len(levels)) - 1) // ((1 << t) - 1) << c
-    return mask_partition(w)
+    counts = [0] * t
+    for b in _beta_numbers(check_partition(parts)):
+        counts[b % t] += 1
+    return _bead_partition(
+        sorted([i for c, k in enumerate(counts) for i in range(c, c + t * k, t)])
+    )
 
 
 def _aligned_runners(w1: int, w2: int, m: int):

@@ -153,33 +153,37 @@ class ReductionTrace:
 def reduce_partition(mu, cfg: CombineConfig) -> ReductionTrace:
     """Iterate combine_step to its fixpoint, recording every application.
 
-    Each p-free class is processed independently, lowest level first; the
-    fixpoint has every multiplicity below p**r and does not depend on the
-    rewrite order.
+    Sizes are read in increasing order.  The first one holding at least p**r
+    parts carries its p-free class upward from it (m, p*m, p**2*m, ...; the
+    sizes below it hold too few parts to carry) and leaves every count of the
+    class below p**r.  The fixpoint does not depend on the rewrite order; steps
+    are listed by p-free class, then level.
     """
     mu = check_partition(mu)
     p, q = cfg.p, cfg.q
-    classes: dict[int, dict[int, int]] = {}
-    for m, a in multiplicities(mu).items():
-        free, level = m, 0
+    counts = multiplicities(mu)
+    by_class: dict[int, list[ReductionStep]] = {}
+    # keys run largest first; a carry only adds sizes above the one read
+    for m in reversed([m for m, a in counts.items() if a >= q]):
+        if counts[m] < q:
+            continue
+        free = m
         while free % p == 0:
             free //= p
-            level += 1
-        classes.setdefault(free, {})[level] = a
-    final: dict[int, int] = {}
-    steps: list[ReductionStep] = []
-    for free in sorted(classes):
-        by_level = classes[free]
-        levels = [by_level.get(j, 0) for j in range(max(by_level) + 1)]
-        part = free
+        levels, part = [], m
+        while part <= mu[0]:
+            levels.append(counts.get(part, 0))
+            part *= p
+        found = by_class[free] = []
+        part = m
         for c in _carry_pass(levels, p, cfg.r):
             if c >= q:
-                steps += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
-            if c % q:
-                final[part] = c % q
+                found += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
+            counts[part] = c % q
             part *= p
-    out = from_multiplicities(final)
+    out = from_multiplicities(counts)
     assert sum(out) == sum(mu)
+    steps = [step for free in sorted(by_class) for step in by_class[free]]
     return ReductionTrace(mu, out, tuple(steps))
 
 

@@ -11,6 +11,7 @@ import random
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain
+from operator import lt
 from typing import Iterator, Mapping
 
 from .errors import FormatError, SizeCapError
@@ -23,12 +24,14 @@ SAMPLING_CAP = 5000
 
 def check_partition(parts) -> Partition:
     """Coerce to a tuple and verify weakly decreasing positive parts."""
-    out = tuple(int(x) for x in parts)
-    for i, x in enumerate(out):
-        if x < 1:
-            raise ValueError(f"parts must be positive integers, got {x}")
-        if i > 0 and out[i - 1] < x:
-            raise ValueError(f"parts must be weakly decreasing, got {out}")
+    out = tuple(map(int, parts))
+    # a weakly decreasing tuple whose last part is positive is valid
+    if out and (out[-1] < 1 or any(map(lt, out, out[1:]))):
+        for i, x in enumerate(out):  # word the first fault
+            if x < 1:
+                raise ValueError(f"parts must be positive integers, got {x}")
+            if i > 0 and out[i - 1] < x:
+                raise ValueError(f"parts must be weakly decreasing, got {out}")
     return out
 
 

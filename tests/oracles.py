@@ -326,6 +326,40 @@ def random_order_reduce(mu, cfg, rng):
         current = combine_step(current, rng.choice(options), cfg)
 
 
+def reduce_class_by_class(mu, cfg):
+    """`reduce_partition` one p-free class at a time, lowest class first.
+
+    Every class present is read from its p-free part upward and carried with
+    `_carry_pass`, whether or not any of its levels can carry; the steps come
+    out by class, then level.
+    """
+    from charcore.divisibility import ReductionStep, ReductionTrace, _carry_pass
+    from charcore.partitions import from_multiplicities, multiplicities
+
+    mu = tuple(mu)
+    p, q = cfg.p, cfg.q
+    classes = {}
+    for m, a in multiplicities(mu).items():
+        free, level = m, 0
+        while free % p == 0:
+            free //= p
+            level += 1
+        classes.setdefault(free, {})[level] = a
+    final = {}
+    steps = []
+    for free in sorted(classes):
+        by_level = classes[free]
+        levels = [by_level.get(j, 0) for j in range(max(by_level) + 1)]
+        part = free
+        for c in _carry_pass(levels, p, cfg.r):
+            if c >= q:
+                steps += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
+            if c % q:
+                final[part] = c % q
+            part *= p
+    return ReductionTrace(mu, from_multiplicities(final), tuple(steps))
+
+
 _reference_rows = [[1]]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import charcore.characters as characters
 from charcore.characters import (
     CHI_CAP,
+    CHI_STATES,
     CharacterTable,
     build_table,
     centralizer_order,
@@ -77,7 +78,24 @@ class TestChi:
     def test_deepest_recursion_under_the_cap(self):
         assert chi((CHI_CAP,), (1,) * CHI_CAP) == 1
         assert chi((1,) * CHI_CAP, (1,) * CHI_CAP) == 1
-        # no tail of 1s, so this recurses once per part
+        # no tail of 1s, so this walks one level per part
+        half = CHI_CAP // 2
+        assert chi((CHI_CAP,), (2,) * half) == 1
+        assert chi((1,) * CHI_CAP, (2,) * half) == (-1) ** half
+
+    def test_state_budget_counts_every_mask_reached(self, monkeypatch):
+        # (2,2) on (2,2) reaches (2,2), then (2) and (1,1), then the empty row
+        monkeypatch.setattr(characters, "CHI_STATES", 4)
+        assert chi((2, 2), (2, 2)) == 2
+        monkeypatch.setattr(characters, "CHI_STATES", 3)
+        with pytest.raises(SizeCapError, match="3 bead-mask states"):
+            chi((2, 2), (2, 2))
+
+    def test_deep_and_tail_queries_stay_far_under_the_budget(self, monkeypatch):
+        # one part in a hundred of the budget is enough for each of these
+        monkeypatch.setattr(characters, "CHI_STATES", CHI_STATES // 100)
+        staircase = tuple(range(20, 0, -1))
+        assert chi(staircase, (1,) * 210) == degree(staircase)
         half = CHI_CAP // 2
         assert chi((CHI_CAP,), (2,) * half) == 1
         assert chi((1,) * CHI_CAP, (2,) * half) == (-1) ** half

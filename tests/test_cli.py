@@ -67,7 +67,11 @@ class TestExitCodes:
         assert run_cli("chi", "--bogus", "x").returncode == 2
 
     def test_usage_error_bad_partition(self):
-        assert run_cli("chi", "--lambda", "[1,2]", "--mu", "[3]").returncode == 2
+        res = run_cli("chi", "--lambda", "[1,2]", "--mu", "[3]")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            "charcore: error: parts must be weakly decreasing, got (1, 2)\n"
+        )
 
     def test_usage_error_nonprime(self):
         res = run_cli("reduce", "--mu", "[1,1,1,1]", "--p", "4", "--r", "1")
@@ -89,6 +93,17 @@ class TestExitCodes:
         res = run_cli("chi", "--lambda", big, "--mu", big)
         assert res.returncode == 2
         assert "capped" in res.stderr and "Traceback" not in res.stderr
+
+    def test_chi_state_budget_is_one_line_usage_error(self):
+        # the staircase of 16 on (3^45, 1) reaches about 2.3M bead-mask states
+        lam = "[" + ",".join(str(k) for k in range(16, 0, -1)) + "]"
+        mu = "[" + ",".join(["3"] * 45 + ["1"]) + "]"
+        res = run_cli("chi", "--lambda", lam, "--mu", mu)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            "charcore: error: chi capped at 500000 bead-mask states, "
+            "exceeded on part 14 of mu\n"
+        )
 
     @pytest.mark.parametrize(
         "box,p,r", [("65", "2", "1"), ("12", "2", "4"), ("27", "7", "1")]

@@ -40,14 +40,30 @@ from oracles import (
     prop_pm1_per_value,
     prop_pm1_sweep_per_value,
     random_order_reduce,
+    reduce_class_by_class,
     theorem3_hypothesis_per_length,
 )
 
 CFGS = [CombineConfig(2, 2), CombineConfig(2, 3), CombineConfig(3, 2)]
+ONE_LEVEL_CFGS = [CombineConfig(2, 1), CombineConfig(3, 1), CombineConfig(5, 1)]
 
 partition_lists = st.lists(st.integers(1, 6), max_size=10).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+@st.composite
+def heavy_partitions(draw, max_n):
+    """Partitions of at most max_n with long runs of sizes that share p-free classes."""
+    parts, room = [], max_n
+    for _ in range(draw(st.integers(0, 8))):
+        m = draw(st.integers(1, 5)) * draw(st.sampled_from((1, 2, 3, 4, 8, 9, 16, 27)))
+        if m > room:
+            break
+        a = draw(st.integers(1, room // m))
+        parts += [m] * a
+        room -= m * a
+    return tuple(sorted(parts, reverse=True))
 
 
 class TestCombineConfig:
@@ -113,6 +129,28 @@ class TestReduce:
             (1, 4, 0),
             (2, 4, 0),
         ]
+
+    def test_two_carry_chains_in_one_class(self):
+        # class 1 carries at sizes 1 and 8, so its steps come before class 3's
+        mu = (8,) * 7 + (3,) * 4 + (2,) + (1,) * 5
+        trace = reduce_partition(mu, CombineConfig(2, 2))
+        assert [(s.part, s.before, s.after) for s in trace.steps] == [
+            (1, 5, 1),
+            (8, 7, 3),
+            (3, 4, 0),
+        ]
+        assert trace == reduce_class_by_class(mu, CombineConfig(2, 2))
+
+    def test_matches_class_by_class_oracle_exhaustive(self):
+        for cfg in CFGS:
+            for n in range(15):
+                for mu in partitions_of(n):
+                    assert reduce_partition(mu, cfg) == reduce_class_by_class(mu, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(heavy_partitions(300), st.sampled_from(CFGS + ONE_LEVEL_CFGS))
+    def test_matches_class_by_class_oracle_property(self, mu, cfg):
+        assert reduce_partition(mu, cfg) == reduce_class_by_class(mu, cfg)
 
     def test_fixpoint_untouched(self):
         cfg = CombineConfig(2, 2)
@@ -447,17 +485,19 @@ class TestPropPm1:
                 assert single.as_dict() == prop_pm1_per_value(lam, m, cfg).as_dict()
 
     def test_class_checks_of_a_row_come_before_the_next_row(self, monkeypatch):
-        # the first core row gets a wrong value, the last a wrong coefficient
+        # the first core row gets wrong values, the last a wrong coefficient
         n, m, cfg = 12, 2, CombineConfig(2, 2)
         cores = [lam for lam in partitions_of(n) if is_tcore(lam, 4)]
         first, last = cores[0], cores[-1]
         bad = bead_mask(from_partition(first))
-        exact = characters._chi_mask
+        exact = characters.strip_removals
         sequences = divisibility.enumerate_hook_sequences
 
-        def wrong(w, mu, idx, memo):
-            value = exact(w, mu, idx, memo)
-            return value + 1 if idx == 0 and w == bad else value
+        def wrong(w, t):
+            # the shared column and the oracle's chi both scan the row here;
+            # its first strip is counted twice
+            found = exact(w, t)
+            return found + found[:1] if w == bad else found
 
         def one_lost(lam, m, count):
             groups = sequences(lam, m, count)
@@ -473,7 +513,7 @@ class TestPropPm1:
                 groups[lam2] = groups[lam2][1:]
             return groups
 
-        monkeypatch.setattr(characters, "_chi_mask", wrong)
+        monkeypatch.setattr(characters, "strip_removals", wrong)
         monkeypatch.setattr(divisibility, "enumerate_hook_sequences", one_lost)
         monkeypatch.setattr(oracles, "hook_sequence_dfs", one_lost_dfs)
         swept = verify_prop_pm1_sweep(n, m, cfg)

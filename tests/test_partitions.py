@@ -152,6 +152,27 @@ class TestMultiplicities:
             for lam in partitions_of(n):
                 assert from_multiplicities(multiplicities(lam)) == lam
 
+    @pytest.mark.parametrize(
+        "parts,message",
+        [
+            ((3, 0), "parts must be positive integers, got 0"),
+            ((2, -1), "parts must be positive integers, got -1"),
+            ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+            ((1, 2, 0), "parts must be weakly decreasing, got (1, 2, 0)"),
+            ((2, 0, 1), "parts must be positive integers, got 0"),
+            ((5, 5, 5, 6), "parts must be weakly decreasing, got (5, 5, 5, 6)"),
+        ],
+    )
+    def test_check_partition_words_the_first_fault(self, parts, message):
+        with pytest.raises(ValueError) as exc:
+            check_partition(parts)
+        assert str(exc.value) == message
+
+    def test_check_partition_accepts(self):
+        assert check_partition(()) == ()
+        assert check_partition([3.0, 1]) == (3, 1)
+        assert check_partition((4, 4, 1)) == (4, 4, 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             check_partition((1, 2))
