@@ -85,9 +85,9 @@ def canonicalize(word) -> Abacus:
     return _window(_trim(bead_mask(Abacus(tuple(word)))))
 
 
-def _partition_mask(parts) -> int:
-    """The canonical bead mask of a partition: its beads sit at its beta-numbers."""
-    return sum([1 << b for b in _beta_numbers(check_partition(parts))])
+def _partition_mask(parts: Partition) -> int:
+    """The bead mask of a checked partition: its beads sit at its beta-numbers."""
+    return sum([1 << b for b in _beta_numbers(parts)])
 
 
 def _window(w: int) -> Abacus:
@@ -97,7 +97,7 @@ def _window(w: int) -> Abacus:
 
 def from_partition(parts) -> Abacus:
     """Boundary-walk encoding: 0 per horizontal move, 1 per vertical move."""
-    return _window(_partition_mask(parts))
+    return _window(_partition_mask(check_partition(parts)))
 
 
 def to_partition(a: Abacus) -> Partition:
@@ -167,13 +167,13 @@ def is_tcore(parts, t: int) -> bool:
     """True iff no box of the diagram has hook length t."""
     if t < 1:
         raise ValueError("t must be positive")
-    w = _partition_mask(parts)
+    w = _partition_mask(check_partition(parts))
     return not (w >> t) & ~w
 
 
 def hook_length_mask(parts) -> int:
     """Bitmask with bit t set iff the partition has a hook of length t."""
-    w = _partition_mask(parts)
+    w = _partition_mask(check_partition(parts))
     return sum(1 << t for t in range(1, w.bit_length()) if (w >> t) & ~w)
 
 

@@ -153,37 +153,34 @@ class ReductionTrace:
 def reduce_partition(mu, cfg: CombineConfig) -> ReductionTrace:
     """Iterate combine_step to its fixpoint, recording every application.
 
-    Sizes are read in increasing order.  The first one holding at least p**r
-    parts carries its p-free class upward from it (m, p*m, p**2*m, ...; the
-    sizes below it hold too few parts to carry) and leaves every count of the
-    class below p**r.  The fixpoint does not depend on the rewrite order; steps
-    are listed by p-free class, then level.
+    Each p-free class holding a size with at least p**r parts is carried once,
+    in increasing order of its base b, upward from b (b, p*b, p**2*b, ...; a
+    level holding fewer than p**r parts carries nothing), and leaves every
+    count of the class below p**r.  The fixpoint does not depend on the
+    rewrite order; steps are listed by p-free class, then level.
     """
     mu = check_partition(mu)
     p, q = cfg.p, cfg.q
     counts = multiplicities(mu)
-    by_class: dict[int, list[ReductionStep]] = {}
-    # keys run largest first; a carry only adds sizes above the one read
-    for m in reversed([m for m, a in counts.items() if a >= q]):
-        if counts[m] < q:
-            continue
-        free = m
-        while free % p == 0:
-            free //= p
-        levels, part = [], m
+    bases = set()
+    for m, a in counts.items():
+        if a >= q:
+            while m % p == 0:
+                m //= p
+            bases.add(m)
+    steps: list[ReductionStep] = []
+    for base in sorted(bases):
+        levels, part = [], base
         while part <= mu[0]:
             levels.append(counts.get(part, 0))
             part *= p
-        found = by_class[free] = []
-        part = m
+        part = base
         for c in _carry_pass(levels, p, cfg.r):
-            if c >= q:
-                found += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
+            steps += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
             counts[part] = c % q
             part *= p
     out = from_multiplicities(counts)
     assert sum(out) == sum(mu)
-    steps = [step for free in sorted(by_class) for step in by_class[free]]
     return ReductionTrace(mu, out, tuple(steps))
 
 
@@ -291,6 +288,7 @@ def epsilon(lam, lam2, m: int) -> int:
     to the change in the number of bead pairs that index order and runner
     order rank differently.  Raises UnreachableError when no sequence exists.
     """
+    lam, lam2 = check_partition(lam), check_partition(lam2)
     r1, r2 = _aligned_runners(_partition_mask(lam), _partition_mask(lam2), m)
     return -1 if _crossings(r1) ^ _crossings(r2) else 1
 

@@ -2,11 +2,13 @@ import io
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import charcore.characters as characters
+import charcore.partitions as partitions
 from charcore.characters import (
     CHI_CAP,
     CHI_STATES,
@@ -90,6 +92,19 @@ class TestChi:
         monkeypatch.setattr(characters, "CHI_STATES", 3)
         with pytest.raises(SizeCapError, match="3 bead-mask states"):
             chi((2, 2), (2, 2))
+
+    def test_one_check_per_partition(self, monkeypatch):
+        check, calls = partitions.check_partition, []
+
+        def counted(parts):
+            calls.append(parts)
+            return check(parts)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "charcore" and hasattr(module, "check_partition"):
+                monkeypatch.setattr(module, "check_partition", counted)
+        assert chi((3, 2, 1), (3, 1, 1, 1)) == -2
+        assert calls == [(3, 2, 1), (3, 1, 1, 1)]
 
     def test_deep_and_tail_queries_stay_far_under_the_budget(self, monkeypatch):
         # one part in a hundred of the budget is enough for each of these

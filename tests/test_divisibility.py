@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import charcore.characters as characters
 import charcore.divisibility as divisibility
 import oracles
-from charcore.abacus import bead_mask, from_partition, hook_length_mask, is_tcore
+from charcore.abacus import bead_mask, from_partition, hook_length_mask, is_tcore, tcore
 from charcore.characters import chi
 from charcore.divisibility import (
     CombineConfig,
@@ -142,8 +142,9 @@ class TestReduce:
         assert trace == reduce_class_by_class(mu, CombineConfig(2, 2))
 
     def test_matches_class_by_class_oracle_exhaustive(self):
-        for cfg in CFGS:
-            for n in range(15):
+        # r = 1 (q = p) makes the most classes carry
+        for cfg in CFGS + ONE_LEVEL_CFGS:
+            for n in range(19):
                 for mu in partitions_of(n):
                     assert reduce_partition(mu, cfg) == reduce_class_by_class(mu, cfg)
 
@@ -711,3 +712,32 @@ class TestLemma81Sweep:
         monkeypatch.setattr(divisibility, "_box_spans", no_sweep)
         with pytest.raises(SizeCapError):
             verify_lemma81(box, CombineConfig(p, r))
+
+
+# each entry point that encodes a partition checks it itself, with these words
+MALFORMED = [
+    ((3, 0), "parts must be positive integers, got 0"),
+    ((2, -1), "parts must be positive integers, got -1"),
+    ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+    ((2, "x"), "invalid literal for int() with base 10: 'x'"),
+]
+ENTRY_POINTS = {
+    "from_partition": from_partition,
+    "is_tcore": lambda parts: is_tcore(parts, 2),
+    "hook_length_mask": hook_length_mask,
+    "epsilon lam": lambda parts: epsilon(parts, (1,), 1),
+    "epsilon lam2": lambda parts: epsilon((2, 1), parts, 1),
+    "chi lam": lambda parts: chi(parts, (1, 1, 1)),
+    "chi mu": lambda parts: chi((2, 1), parts),
+    "enumerate_hook_sequences": lambda parts: enumerate_hook_sequences(parts, 1, 1),
+    "tcore": lambda parts: tcore(parts, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("parts,message", MALFORMED)
+def test_entry_points_reject_malformed_parts(entry, parts, message):
+    with pytest.raises(ValueError) as exc:
+        ENTRY_POINTS[entry](parts)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message

@@ -1,8 +1,9 @@
 """Guards over the library source, read with the stdlib `ast` module.
 
 Every name a module imports must be used in it, every private top-level
-name (`_x`, not a dunder) must be referenced somewhere in the package, and
-only `VerifyReport` sets a verifier's tallies.
+name (`_x`, not a dunder) must be referenced somewhere in the package, only
+`VerifyReport` sets a verifier's tallies, and no private function but
+`_same_size` checks a partition.
 """
 
 import ast
@@ -99,3 +100,28 @@ def _tally_stores(node):
 def test_verifiers_tally_only_through_verify_report(module):
     stores = list(_tally_stores(TREES[module]))
     assert not stores, f"{module}: tally set outside VerifyReport: {stores}"
+
+
+def _calls_of(node, name):
+    """Line of every call to the plain name `name` under node."""
+    for child in ast.walk(node):
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id == name
+        ):
+            yield child.lineno
+
+
+def test_private_functions_take_checked_partitions():
+    # public entry points check what they are given; private helpers trust it
+    checking = [
+        (module, node.name, line)
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and node.name != "_same_size"
+        for line in _calls_of(node, "check_partition")
+    ]
+    assert not checking, f"private functions that call check_partition: {checking}"
