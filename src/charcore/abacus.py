@@ -132,6 +132,14 @@ def mask_partition(w: int) -> Partition:
     return _bead_partition(_beads(w))
 
 
+_SWAP = str.maketrans("01", "10")
+
+
+def _conjugate_mask(w: int) -> int:
+    """The bead mask of the conjugate: w's window read backwards, 0s and 1s swapped."""
+    return int(bin(w)[:1:-1].translate(_SWAP), 2) if w else 0
+
+
 def _trim(w: int) -> int:
     """Shift off the low run of 1s: the canonical mask of the same partition."""
     return w >> (w ^ (w + 1)).bit_length() - 1

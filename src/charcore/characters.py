@@ -1,12 +1,18 @@
 """Exact irreducible character values by iterated border-strip removal.
 
-The cycle type is consumed largest part first; each part removes a border
-strip of its length in every way the row allows, with sign (-1)^height.  One
-value (`chi`) walks the removals forward, a level per part, keeping a signed
-path count per row reached; the reads of many rows on one class
-(`chi_column`, `_chi_values`) recurse with one memo that the rows share.
-Rows are bead masks (see `abacus.bead_mask`), encoded once per row and size.
-Values are plain Python integers, so no precision is ever lost.
+Each part of the cycle type removes a border strip of its length in every way
+the row allows, with sign (-1)^height.  One value (`chi`) walks the removals
+forward from its row, largest part first, keeping a signed path count per row
+reached.  The reads of many rows (`chi_column`, `_chi_values`, `build_table`)
+go the other way, from the empty row up, smallest part first.  The transfer
+list of a size N and a part t (`_transfers`) gives, for every row of N in
+table order, the rows of N - t that its t-strips leave, split by the parity
+of their height; it is built once per (N, t) from `abacus.strip_removals`.
+Applying the lists of a class's parts to the value 1 on the empty row gives
+its values on every row, a level per part, and classes that end in the same
+smallest parts share those levels.  Rows are bead masks (see
+`abacus.bead_mask`), encoded once per row and size.  Values are plain Python
+integers, so no precision is ever lost.
 """
 
 from __future__ import annotations
@@ -14,16 +20,23 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from math import factorial
-from typing import IO
+from typing import IO, Sequence
 
-from .abacus import _beads, _partition_mask, bead_mask, from_partition, strip_removals
+from .abacus import (
+    _beads,
+    _conjugate_mask,
+    _partition_mask,
+    bead_mask,
+    from_partition,
+    strip_removals,
+)
 from .errors import SizeCapError
 from .partitions import (
     Partition,
     check_partition,
-    conjugate,
     format_partition,
     multiplicities,
     partitions_of,
@@ -31,6 +44,12 @@ from .partitions import (
 from .tableaux import _degree_of_betas, count_syt
 
 TABLE_CAP = 26
+# build_table starts worker processes only from n = POOL_FROM, where they
+# first pay.  CLI `table n --format csv`, medians of 3 runs with 1 and 2
+# workers (2-vCPU x86-64, Python 3.11): n = 14 0.25/0.30 s, 18 0.40/0.49 s,
+# 20 0.52/0.74 s, 22 0.98/1.13 s, 24 2.47/1.87 s, 26 4.87/4.10 s.  Each
+# worker builds its own transfer lists and sends its columns back pickled.
+POOL_FROM = 24
 # chi refuses n > CHI_CAP before any work, and stops once its walk has reached
 # CHI_STATES bead masks: 3.4-4.1 s and at most 90 MB peak RSS for the capped
 # queries measured (2-vCPU x86-64, Python 3.11)
@@ -81,58 +100,111 @@ def chi(lam, mu) -> int:
     return sum(c * _degree_of_betas(_beads(w)) for w, c in level.items())
 
 
-def _chi_mask(w: int, mu: Partition, idx: int, memo: list[dict]) -> int:
-    """chi of the row with bead mask w, of size sum(mu[idx:]), on mu[idx:].
-
-    memo[idx] maps w to the value.  Past the last part the row is empty and
-    the value is 1.  This recursion serves the reads of many rows on one
-    class, which share the memo: a level-by-level walk that carried a count
-    per row was slower for every column at n = 20 (1.34 s against 0.70 s).
-    """
-    if idx == len(mu):
-        return 1
-    seen = memo[idx]
-    value = seen.get(w)
-    if value is None:
-        value = 0
-        for _, height, smaller in strip_removals(w, mu[idx]):
-            sub = _chi_mask(smaller, mu, idx + 1, memo)
-            value += -sub if height & 1 else sub
-        seen[w] = value
-    return value
-
-
-def _chi_values(masks, mu: Partition) -> list[int]:
-    """chi of each row bead mask in `masks` on the class mu, with one memo."""
-    memo: list[dict] = [{} for _ in mu]
-    return [_chi_mask(w, mu, 0, memo) for w in masks]
-
-
 @lru_cache(maxsize=None)
 def _row_table(n: int) -> tuple[tuple[int, int], ...]:
     """(bead mask, index of the conjugate) of every row of size n, in table order."""
-    parts = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    return tuple(
-        (bead_mask(from_partition(lam)), index[conjugate(lam)]) for lam in parts
-    )
+    masks = [bead_mask(from_partition(lam)) for lam in partitions_of(n)]
+    index = {w: i for i, w in enumerate(masks)}
+    return tuple((w, index[_conjugate_mask(w)]) for w in masks)
 
 
-def chi_column(mu) -> list[int]:
+@lru_cache(maxsize=None)
+def _row_index(n: int) -> dict[int, int]:
+    """Table index of each row of size n, keyed by its bead mask."""
+    return {w: i for i, (w, _) in enumerate(_row_table(n))}
+
+
+@lru_cache(maxsize=None)
+def _transfers(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Per row of size n, in table order, where its t-strips lead.
+
+    A row's entry lists the table indices, among the rows of size n - t, of
+    what is left by removing each t-strip of even height, then those of odd
+    height raised by p(n - t).  Read against a signed level (the values of
+    size n - t followed by their negatives), one sum gives the row's value.
+    Each row of n is scanned once per t for the life of the process.
+    """
+    index = _row_index(n - t)
+    odd = len(index)
+    lists, seen = [], {}
+    for w, _ in _row_table(n):
+        split: tuple[list[int], list[int]] = ([], [])
+        for _, height, smaller in strip_removals(w, t):
+            split[height & 1].append(index[smaller])
+        row = (*split[0], *[i + odd for i in split[1]])
+        lists.append(seen.setdefault(row, row))
+    return tuple(lists)
+
+
+def _tail_level(tail: Partition, path: list) -> list[int]:
+    """Signed level of the class `tail`, whose parts are increasing.
+
+    That is its value on every row of size sum(tail), in table order,
+    followed by their negatives.  The transfer lists are applied to [1, -1],
+    the level of the empty row, one part at a time.  `path` holds (part, signed level) for the class walked
+    before; the levels of the smallest parts it shares with tail are read
+    back, the rest replace them.
+    """
+    k = 0
+    while k < len(path) and k < len(tail) and path[k][0] == tail[k]:
+        k += 1
+    del path[k:]
+    level = path[-1][1] if path else [1, -1]
+    size = sum(tail[:k])
+    for t in tail[k:]:
+        size += t
+        g = level.__getitem__
+        level = [sum(map(g, row)) for row in _transfers(size, t)]
+        level += [-v for v in level]
+        path.append((t, level))
+    return level
+
+
+def _chi_values(masks, mu: Partition, path: list | None = None) -> list[int]:
+    """chi of each row bead mask in `masks` on the class mu.
+
+    The levels below the largest part are shared by every mask and read or
+    extended along `path` as in `chi_column`; at the top only the rows asked
+    for are summed.
+    """
+    if not mu:
+        return [1 for _ in masks]
+    g = _tail_level(mu[:0:-1], [] if path is None else path).__getitem__
+    n = sum(mu)
+    lists, index = _transfers(n, mu[0]), _row_index(n)
+    return [sum(map(g, lists[index[w]])) for w in masks]
+
+
+def _tail_walk(read, classes: Sequence[Partition]) -> list:
+    """`read(mu, path)` of each class, returned in the order given.
+
+    The classes are read in the order of their reversed parts along one path
+    of levels, so neighbours that end in the same smallest parts share them.
+    """
+    order = sorted(range(len(classes)), key=lambda k: classes[k][::-1])
+    path: list = []
+    done = [read(classes[k], path) for k in order]
+    return [values for _, values in sorted(zip(order, done))]
+
+
+def chi_column(mu, path: list | None = None) -> list[int]:
     """Character values of every row, in reverse-lex order, on the class `mu`.
 
-    One memo table is shared across rows, so a full column costs little more
-    than its hardest entry.  Only rows whose index is at most their
-    conjugate's are computed; chi^{lam'}(mu) = (-1)^(n - len(mu)) chi^lam(mu)
-    gives the others.
+    The parts below the largest come from `_tail_level`; a caller that walks
+    many classes passes one `path` list to every call, so classes that end in
+    the same smallest parts share those levels.  Only rows whose index is at
+    most their conjugate's are computed; chi^{lam'}(mu) =
+    (-1)^(n - len(mu)) chi^lam(mu) gives the others.
     """
     mu = check_partition(mu)
+    if not mu:
+        return [1]
     n = sum(mu)
     sign = -1 if (n - len(mu)) & 1 else 1
-    memo: list[dict] = [{} for _ in mu]
+    g = _tail_level(mu[:0:-1], [] if path is None else path).__getitem__
     column: list[int] = []
-    for i, (w, j) in enumerate(_row_table(n)):
-        column.append(_chi_mask(w, mu, 0, memo) if i <= j else sign * column[j])
+    for i, (row, (_, j)) in enumerate(zip(_transfers(n, mu[0]), _row_table(n))):
+        column.append(sum(map(g, row)) if i <= j else sign * column[j])
     return column
 
 
@@ -161,7 +233,9 @@ class CharacterTable:
 def build_table(n: int, threads: int = 1) -> CharacterTable:
     """Compute the full character table, one class column at a time.
 
-    Columns are independent, so they may be farmed out to worker processes;
+    Classes are visited in the order of their reversed parts, so neighbours
+    share their smallest parts and `chi_column` reuses those levels.  From
+    n = POOL_FROM, runs of that order may be farmed out to worker processes;
     the result is identical for every worker count.
     """
     if n < 1:
@@ -169,12 +243,16 @@ def build_table(n: int, threads: int = 1) -> CharacterTable:
     if n > TABLE_CAP:
         raise SizeCapError(f"table size capped at n <= {TABLE_CAP}, got {n}")
     parts = partitions_of(n)
-    if threads > 1 and len(parts) >= 8:
+    if threads > 1 and n >= POOL_FROM:
+        classes = sorted(parts, key=lambda mu: mu[::-1])
+        size = -(-len(classes) // (threads * 8))
+        runs = [classes[i : i + size] for i in range(0, len(classes), size)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(parts) // (threads * 8))
-            columns = list(pool.map(chi_column, parts, chunksize=chunk))
+            done = pool.map(partial(_tail_walk, chi_column), runs)
+            column = dict(zip(classes, chain.from_iterable(done)))
+        columns = [column[mu] for mu in parts]
     else:
-        columns = [chi_column(mu) for mu in parts]
+        columns = _tail_walk(chi_column, parts)
     return CharacterTable(n, parts, tuple(zip(*columns)))
 
 

@@ -23,11 +23,17 @@ SAMPLING_CAP = 5000
 
 
 def check_partition(parts) -> Partition:
-    """Coerce to a tuple and verify weakly decreasing positive parts."""
+    """Coerce to a tuple of ints and verify weakly decreasing positive parts.
+
+    A part must equal its int: 3.0 is read as 3, but 2.5 is refused, not cut.
+    """
+    parts = tuple(parts)
     out = tuple(map(int, parts))
-    # a weakly decreasing tuple whose last part is positive is valid
-    if out and (out[-1] < 1 or any(map(lt, out, out[1:]))):
+    # an integral, weakly decreasing tuple whose last part is positive is valid
+    if out != parts or (out and (out[-1] < 1 or any(map(lt, out, out[1:])))):
         for i, x in enumerate(out):  # word the first fault
+            if x != parts[i]:
+                raise ValueError(f"parts must be positive integers, got {parts[i]!r}")
             if x < 1:
                 raise ValueError(f"parts must be positive integers, got {x}")
             if i > 0 and out[i - 1] < x:

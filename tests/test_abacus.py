@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from charcore.abacus import (
     Abacus,
     _aligned_runners,
+    _conjugate_mask,
+    _partition_mask,
     bead_mask,
     canonicalize,
     from_partition,
@@ -20,7 +22,7 @@ from charcore.abacus import (
     to_partition,
 )
 from charcore.errors import FormatError, UnreachableError
-from charcore.partitions import hook_lengths, partitions_of
+from charcore.partitions import conjugate, hook_lengths, partitions_of
 from oracles import diagram_strip_removals, diagram_tcore
 
 partition_lists = st.lists(st.integers(1, 9), max_size=9).map(
@@ -190,6 +192,12 @@ class TestBeadMask:
                 assert hook_length_mask(lam) == sum(1 << h for h in hooks)
                 for t in range(1, n + 3):
                     assert is_tcore(lam, t) == (t not in hooks)
+
+    def test_conjugate_mask_is_the_transposed_diagram(self):
+        for n in range(17):
+            for lam in partitions_of(n):
+                got = _conjugate_mask(_partition_mask(lam))
+                assert got == _partition_mask(conjugate(lam))
 
     def test_mask_accepts_a_list(self):
         assert hook_length_mask([3, 1]) == hook_length_mask((3, 1))

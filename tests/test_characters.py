@@ -1,14 +1,17 @@
+import functools
 import io
 import json
 import math
 import random
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import charcore.characters as characters
 import charcore.partitions as partitions
+import oracles
 from charcore.characters import (
     CHI_CAP,
     CHI_STATES,
@@ -132,6 +135,13 @@ class TestChi:
         lam, mu = pair
         assert chi(lam, mu) == mn_reference(lam, mu)
 
+    def test_non_integral_parts_are_refused(self):
+        with pytest.raises(ValueError, match="got 2.9"):
+            chi((2.9, 1), (3,))
+        with pytest.raises(ValueError, match="got 1.5"):
+            chi((3,), (1.5, 1.5))
+        assert chi([2.0, 1.0], (3,)) == -1
+
     def test_all_ones_class_is_the_hook_length_degree(self):
         staircase = tuple(range(20, 0, -1))
         hooks = math.prod(h for row in hook_lengths(staircase) for h in row)
@@ -152,6 +162,48 @@ class TestChi:
                 ci = idx[conjugate(lam)]
                 for j, mu in enumerate(table.partitions):
                     assert table.rows[ci][j] == class_sign(mu) * table.rows[i][j]
+
+
+row_picks = st.integers(1, 16).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from(partitions_of(n)),
+        st.lists(st.integers(0, len(partitions_of(n)) - 1), max_size=40),
+    )
+)
+
+
+class TestColumns:
+    def test_columns_match_diagram_recursion(self, monkeypatch):
+        # the oracle recurses through its module binding, so caching that
+        # binding memoises the whole recursion for this test
+        monkeypatch.setattr(oracles, "mn_reference", functools.cache(mn_reference))
+        for n in range(1, 13):
+            rows = partitions_of(n)
+            for mu in rows:
+                assert chi_column(mu) == [oracles.mn_reference(lam, mu) for lam in rows]
+
+    def test_empty_class(self):
+        assert chi_column(()) == [1]
+        assert characters._chi_values([0], ()) == [1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_picks)
+    def test_chosen_rows_match_the_column(self, case):
+        mu, picks = case
+        rows = characters._row_table(sum(mu))
+        column = chi_column(mu)
+        got = characters._chi_values([rows[i][0] for i in picks], mu)
+        assert got == [column[i] for i in picks]
+
+    def test_table_equals_its_columns_in_table_order(self, tables):
+        # fresh levels per class, then one path walked in table order, which
+        # switches tails far more often than the table's own order does
+        for n in range(1, 15):
+            parts = partitions_of(n)
+            rows = tables.get(n).rows
+            assert rows == tuple(zip(*[chi_column(mu) for mu in parts]))
+            path: list = []
+            assert rows == tuple(zip(*[chi_column(mu, path) for mu in parts]))
 
 
 class TestDegree:
@@ -206,14 +258,35 @@ class TestTable:
             calls.append(parts)
             return encode(parts)
 
+        caches = (characters._row_table, characters._row_index, characters._transfers)
         monkeypatch.setattr(characters, "from_partition", counted)
-        characters._row_table.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         build_table(9)
-        characters._row_table.cache_clear()
-        assert calls == list(partitions_of(9))
+        for cache in caches:
+            cache.cache_clear()
+        # the transfer lists reach every size below 9 through the class 1^9
+        assert sorted(calls) == sorted(lam for k in range(10) for lam in partitions_of(k))
 
     def test_threads_bit_identical(self, tables):
         assert build_table(10, threads=2) == tables.get(10)
+
+    def test_pool_from_its_threshold_is_bit_identical(self, monkeypatch):
+        started = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(characters, "ProcessPoolExecutor", Counted)
+        n = characters.POOL_FROM
+        build_table(n - 1, threads=2)
+        assert started == []
+        serial = build_table(n)
+        for threads in (2, 3):
+            assert build_table(n, threads=threads) == serial
+        assert started == [2, 3]
 
 
 class TestOrthogonality:

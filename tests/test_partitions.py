@@ -173,6 +173,20 @@ class TestMultiplicities:
         assert check_partition([3.0, 1]) == (3, 1)
         assert check_partition((4, 4, 1)) == (4, 4, 1)
 
+    @pytest.mark.parametrize(
+        "parts,message",
+        [
+            ((2.5, 1), "parts must be positive integers, got 2.5"),
+            ((3, 2.9), "parts must be positive integers, got 2.9"),
+            ((2, 3.5), "parts must be positive integers, got 3.5"),
+            ((1, "1"), "parts must be positive integers, got '1'"),
+        ],
+    )
+    def test_check_partition_refuses_non_integral_parts(self, parts, message):
+        with pytest.raises(ValueError) as exc:
+            check_partition(parts)
+        assert str(exc.value) == message
+
     def test_validation(self):
         with pytest.raises(ValueError):
             check_partition((1, 2))
