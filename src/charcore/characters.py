@@ -4,15 +4,13 @@ Each part of the cycle type removes a border strip of its length in every way
 the row allows, with sign (-1)^height.  One value (`chi`) walks the removals
 forward from its row, largest part first, keeping a signed path count per row
 reached.  The reads of many rows (`chi_column`, `_chi_values`, `build_table`)
-go the other way, from the empty row up, smallest part first.  The transfer
-list of a size N and a part t (`_transfers`) gives, for every row of N in
-table order, the rows of N - t that its t-strips leave, split by the parity
-of their height; it is built once per (N, t) from `abacus.strip_removals`.
-Applying the lists of a class's parts to the value 1 on the empty row gives
-its values on every row, a level per part, and classes that end in the same
-smallest parts share those levels.  Rows are bead masks (see
-`abacus.bead_mask`), encoded once per row and size.  Values are plain Python
-integers, so no precision is ever lost.
+go the other way, from the empty row up, smallest part first, through strip
+lists (`_strip_lists`): for each row, the indices of the rows its t-strips
+leave, with the sign of their height.  A column reads the transfer lists of
+whole sizes (`_transfers`), built once per size N and part t for the life of
+the process; a read of chosen rows makes lists for only the rows they reach.
+Rows are bead masks (see `abacus.bead_mask`), encoded once per row and
+size.  Values are plain Python integers, so no precision is ever lost.
 """
 
 from __future__ import annotations
@@ -20,10 +18,9 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain
+from functools import lru_cache
 from math import factorial
-from typing import IO, Sequence
+from typing import IO
 
 from .abacus import (
     _beads,
@@ -45,11 +42,13 @@ from .tableaux import _degree_of_betas, count_syt
 
 TABLE_CAP = 26
 # build_table starts worker processes only from n = POOL_FROM, where they
-# first pay.  CLI `table n --format csv`, medians of 3 runs with 1 and 2
-# workers (2-vCPU x86-64, Python 3.11): n = 14 0.25/0.30 s, 18 0.40/0.49 s,
-# 20 0.52/0.74 s, 22 0.98/1.13 s, 24 2.47/1.87 s, 26 4.87/4.10 s.  Each
-# worker builds its own transfer lists and sends its columns back pickled.
-POOL_FROM = 24
+# first pay.  CLI `table n --format csv`, median (quartiles) of 10 alternating
+# runs with 1 and 2 workers (2-vCPU x86-64, Python 3.11): n = 20 0.55
+# (0.49-0.65) / 0.72 (0.65-0.79) s, 22 1.19 (0.98-1.22) / 1.01 (0.92-1.04) s,
+# 23 1.73 (1.53-1.76) / 1.35 (1.27-1.42) s, 24 2.44 (2.40-2.54) / 1.96
+# (1.87-2.07) s, 26 5.57 (5.42-5.64) / 4.18 (4.04-4.33) s.  Each worker builds
+# its own transfer lists.
+POOL_FROM = 23
 # chi refuses n > CHI_CAP before any work, and stops once its walk has reached
 # CHI_STATES bead masks: 3.4-4.1 s and at most 90 MB peak RSS for the capped
 # queries measured (2-vCPU x86-64, Python 3.11)
@@ -108,100 +107,92 @@ def _row_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((w, index[_conjugate_mask(w)]) for w in masks)
 
 
-@lru_cache(maxsize=None)
-def _row_index(n: int) -> dict[int, int]:
-    """Table index of each row of size n, keyed by its bead mask."""
-    return {w: i for i, (w, _) in enumerate(_row_table(n))}
+def _strip_lists(rows, t: int, index: dict[int, int]) -> list[list[int]]:
+    """Per bead mask in `rows`, where its t-strips lead.
+
+    A row's entry holds, per t-strip, the index in `index` of the row left
+    by removing it, or its complement ~i when the strip's height is odd;
+    rows left that are not yet in `index` are numbered on from it.  Read
+    against a signed level (`_signed`), one sum gives the row's value.
+    """
+    lists = []
+    for w in rows:
+        row = []
+        for _, height, smaller in strip_removals(w, t):
+            i = index.setdefault(smaller, len(index))
+            row.append(~i if height & 1 else i)
+        lists.append(row)
+    return lists
+
+
+def _signed(values: list[int]) -> list[int]:
+    """values, then their negatives in reverse, so that entry ~i is -values[i]."""
+    return values + [-v for v in reversed(values)]
+
+
+def _apply(lists, values: list[int]) -> list[int]:
+    """The values one part up: each entry of `lists` summed over `values`."""
+    g = _signed(values).__getitem__
+    return [sum(map(g, row)) for row in lists]
 
 
 @lru_cache(maxsize=None)
 def _transfers(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Per row of size n, in table order, where its t-strips lead.
-
-    A row's entry lists the table indices, among the rows of size n - t, of
-    what is left by removing each t-strip of even height, then those of odd
-    height raised by p(n - t).  Read against a signed level (the values of
-    size n - t followed by their negatives), one sum gives the row's value.
-    Each row of n is scanned once per t for the life of the process.
+    """`_strip_lists` of every row of size n, in table order, against the
+    table order of size n - t.  Each row of n is scanned once per t for the
+    life of the process, and equal entries are held once.
     """
-    index = _row_index(n - t)
-    odd = len(index)
-    lists, seen = [], {}
-    for w, _ in _row_table(n):
-        split: tuple[list[int], list[int]] = ([], [])
-        for _, height, smaller in strip_removals(w, t):
-            split[height & 1].append(index[smaller])
-        row = (*split[0], *[i + odd for i in split[1]])
-        lists.append(seen.setdefault(row, row))
-    return tuple(lists)
+    index = {w: i for i, (w, _) in enumerate(_row_table(n - t))}
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    lists = _strip_lists((w for w, _ in _row_table(n)), t, index)
+    return tuple(seen.setdefault(row, row) for row in map(tuple, lists))
 
 
-def _tail_level(tail: Partition, path: list) -> list[int]:
-    """Signed level of the class `tail`, whose parts are increasing.
-
-    That is its value on every row of size sum(tail), in table order,
-    followed by their negatives.  The transfer lists are applied to [1, -1],
-    the level of the empty row, one part at a time.  `path` holds (part, signed level) for the class walked
-    before; the levels of the smallest parts it shares with tail are read
-    back, the rest replace them.
+def _level(tail) -> list[int]:
+    """Values of the class `tail`, whose parts are increasing, on every row
+    of size sum(tail) in table order: the transfer lists of its parts applied
+    to [1], the value on the empty row, one part at a time.
     """
-    k = 0
-    while k < len(path) and k < len(tail) and path[k][0] == tail[k]:
-        k += 1
-    del path[k:]
-    level = path[-1][1] if path else [1, -1]
-    size = sum(tail[:k])
-    for t in tail[k:]:
+    level, size = [1], 0
+    for t in tail:
         size += t
-        g = level.__getitem__
-        level = [sum(map(g, row)) for row in _transfers(size, t)]
-        level += [-v for v in level]
-        path.append((t, level))
+        level = _apply(_transfers(size, t), level)
     return level
 
 
-def _chi_values(masks, mu: Partition, path: list | None = None) -> list[int]:
+def _chi_values(masks, mu: Partition) -> list[int]:
     """chi of each row bead mask in `masks` on the class mu.
 
-    The levels below the largest part are shared by every mask and read or
-    extended along `path` as in `chi_column`; at the top only the rows asked
-    for are summed.
+    Strip lists are made for only the rows the masks reach, largest part
+    first, so a few rows cost far less than their column.  As in `chi`, a
+    tail of 1s in mu is not walked: the rows left get their degrees, and the
+    lists are applied from there back up as in `_level`.
     """
-    if not mu:
-        return [1 for _ in masks]
-    g = _tail_level(mu[:0:-1], [] if path is None else path).__getitem__
-    n = sum(mu)
-    lists, index = _transfers(n, mu[0]), _row_index(n)
-    return [sum(map(g, lists[index[w]])) for w in masks]
+    top = {w: i for i, w in enumerate(dict.fromkeys(masks))}
+    index, lists = top, []
+    for t in mu[: len(mu) - mu.count(1)]:
+        below: dict[int, int] = {}
+        lists.append(_strip_lists(index, t, below))
+        index = below
+    level = [_degree_of_betas(_beads(w)) for w in index]
+    for rows in reversed(lists):
+        level = _apply(rows, level)
+    return [level[top[w]] for w in masks]
 
 
-def _tail_walk(read, classes: Sequence[Partition]) -> list:
-    """`read(mu, path)` of each class, returned in the order given.
-
-    The classes are read in the order of their reversed parts along one path
-    of levels, so neighbours that end in the same smallest parts share them.
-    """
-    order = sorted(range(len(classes)), key=lambda k: classes[k][::-1])
-    path: list = []
-    done = [read(classes[k], path) for k in order]
-    return [values for _, values in sorted(zip(order, done))]
-
-
-def chi_column(mu, path: list | None = None) -> list[int]:
+def chi_column(mu) -> list[int]:
     """Character values of every row, in reverse-lex order, on the class `mu`.
 
-    The parts below the largest come from `_tail_level`; a caller that walks
-    many classes passes one `path` list to every call, so classes that end in
-    the same smallest parts share those levels.  Only rows whose index is at
-    most their conjugate's are computed; chi^{lam'}(mu) =
-    (-1)^(n - len(mu)) chi^lam(mu) gives the others.
+    The parts below the largest give a full level (`_level`); at the top
+    only rows whose index is at most their conjugate's are computed;
+    chi^{lam'}(mu) = (-1)^(n - len(mu)) chi^lam(mu) gives the others.
     """
     mu = check_partition(mu)
     if not mu:
         return [1]
     n = sum(mu)
     sign = -1 if (n - len(mu)) & 1 else 1
-    g = _tail_level(mu[:0:-1], [] if path is None else path).__getitem__
+    g = _signed(_level(mu[:0:-1])).__getitem__
     column: list[int] = []
     for i, (row, (_, j)) in enumerate(zip(_transfers(n, mu[0]), _row_table(n))):
         column.append(sum(map(g, row)) if i <= j else sign * column[j])
@@ -233,10 +224,8 @@ class CharacterTable:
 def build_table(n: int, threads: int = 1) -> CharacterTable:
     """Compute the full character table, one class column at a time.
 
-    Classes are visited in the order of their reversed parts, so neighbours
-    share their smallest parts and `chi_column` reuses those levels.  From
-    n = POOL_FROM, runs of that order may be farmed out to worker processes;
-    the result is identical for every worker count.
+    Columns are independent, so from n = POOL_FROM they may be farmed out to
+    worker processes; the result is identical for every worker count.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -244,15 +233,11 @@ def build_table(n: int, threads: int = 1) -> CharacterTable:
         raise SizeCapError(f"table size capped at n <= {TABLE_CAP}, got {n}")
     parts = partitions_of(n)
     if threads > 1 and n >= POOL_FROM:
-        classes = sorted(parts, key=lambda mu: mu[::-1])
-        size = -(-len(classes) // (threads * 8))
-        runs = [classes[i : i + size] for i in range(0, len(classes), size)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = pool.map(partial(_tail_walk, chi_column), runs)
-            column = dict(zip(classes, chain.from_iterable(done)))
-        columns = [column[mu] for mu in parts]
+            chunk = max(1, len(parts) // (threads * 8))
+            columns = list(pool.map(chi_column, parts, chunksize=chunk))
     else:
-        columns = _tail_walk(chi_column, parts)
+        columns = [chi_column(mu) for mu in parts]
     return CharacterTable(n, parts, tuple(zip(*columns)))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, product
 from math import factorial, isqrt, prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -26,7 +26,7 @@ from .abacus import (
     skew_per_residue,
     strip_removals,
 )
-from .characters import _chi_values, _same_size, _tail_walk, chi, chi_column
+from .characters import _chi_values, _same_size, chi, chi_column
 from .errors import SizeCapError, UnreachableError
 from .partitions import (
     Partition,
@@ -472,9 +472,9 @@ def _prop_pm1(
 ) -> VerifyReport:
     """The expansion check of every core row among `rows`, all of size n.
 
-    Character values are read from partial columns: per tau, the core rows on
-    tau + m^count and the union of the groups' targets on tau, each set of
-    classes walked along one path of levels.  Checks are then made row by row,
+    Character values are read once per tau, for the core rows on
+    tau + m^count and for the union of the groups' targets on tau, each set
+    visiting only the rows it reaches.  Checks are then made row by row,
     groups before classes, so the tallies and the first witness are those of
     checking one row at a time.
     """
@@ -489,11 +489,11 @@ def _prop_pm1(
     taus = partitions_of(n - count * m)
     core_masks = [_partition_mask(lam) for lam, _ in cores]
     target_masks = [_partition_mask(lam2) for lam2 in targets]
-    lhs = _tail_walk(
-        partial(_chi_values, core_masks),
-        [tuple(sorted(tau + (m,) * count, reverse=True)) for tau in taus],
-    )
-    rhs = _tail_walk(partial(_chi_values, target_masks), taus)
+    lhs = [
+        _chi_values(core_masks, tuple(sorted(tau + (m,) * count, reverse=True)))
+        for tau in taus
+    ]
+    rhs = [_chi_values(target_masks, tau) for tau in taus]
     for i, (lam, groups) in enumerate(cores):
         for lam2, one_sign, c in groups:
             report.check(

@@ -1,6 +1,5 @@
 import math
 import random
-from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -515,9 +514,6 @@ class TestPropPm1:
                 groups[lam2] = groups[lam2][1:]
             return groups
 
-        # the transfer lists are scanned afresh here, and the cached ones kept
-        fresh = lru_cache(maxsize=None)(characters._transfers.__wrapped__)
-        monkeypatch.setattr(characters, "_transfers", fresh)
         monkeypatch.setattr(characters, "strip_removals", wrong)
         monkeypatch.setattr(divisibility, "enumerate_hook_sequences", one_lost)
         monkeypatch.setattr(oracles, "hook_sequence_dfs", one_lost_dfs)
