@@ -273,6 +273,17 @@ def _aligned_runners(w1: int, w2: int, m: int):
     return r1, r2
 
 
+def _residue_skews(w1: int, w2: int, m: int) -> list[tuple[Partition, Partition]]:
+    """Per runner, (outer, inner): the partitions of its levels in w1 and in w2.
+
+    Requires w2 to be reachable from w1 by m-hooks (see `_aligned_runners`).
+    """
+    return [
+        (_bead_partition(x), _bead_partition(y))
+        for x, y in zip(*_aligned_runners(w1, w2, m))
+    ]
+
+
 def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int]]:
     """Per-residue skew diagrams between a partition and one reachable from it.
 
@@ -280,7 +291,7 @@ def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int
     shapes' sizes sum to the number of removed hooks.
     """
     result = []
-    for x, y in zip(*_aligned_runners(bead_mask(a), bead_mask(a2), m)):
-        shape = SkewShape(_bead_partition(x), _bead_partition(y))
+    for outer, inner in _residue_skews(bead_mask(a), bead_mask(a2), m):
+        shape = SkewShape(outer, inner)
         result.append((shape, shape.size))
     return result

@@ -16,7 +16,6 @@ size.  Values are plain Python integers, so no precision is ever lost.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -233,6 +232,9 @@ def build_table(n: int, threads: int = 1) -> CharacterTable:
         raise SizeCapError(f"table size capped at n <= {TABLE_CAP}, got {n}")
     parts = partitions_of(n)
     if threads > 1 and n >= POOL_FROM:
+        # imported here: the pool pulls in multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, len(parts) // (threads * 8))
             columns = list(pool.map(chi_column, parts, chunksize=chunk))

@@ -18,12 +18,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .abacus import (
     _aligned_runners,
+    _beads,
     _partition_mask,
-    from_partition,
+    _residue_skews,
     hook_length_mask,
     is_tcore,
     mask_partition,
-    skew_per_residue,
     strip_removals,
 )
 from .characters import _chi_values, _same_size, chi, chi_column
@@ -41,8 +41,8 @@ from .tableaux import (
     _box_spans,
     _count_rows,
     _is_strip,
+    _skew_count,
     _spans_shape,
-    count_skew_syt,
 )
 
 CONGRUENCE_CAP = 16
@@ -330,11 +330,11 @@ def _predicted_count(lam, lam2, m: int, count: int):
     The count factors as a multinomial over residues times the per-residue
     standard-filling counts; returns (prediction, multinomial, fillings, sizes).
     """
-    skews = skew_per_residue(from_partition(lam), from_partition(lam2), m)
-    sizes = tuple(sz for _, sz in skews)
+    skews = _residue_skews(_partition_mask(lam), _partition_mask(lam2), m)
+    sizes = tuple(sum(outer) - sum(inner) for outer, inner in skews)
     assert sum(sizes) == count
     multinomial = _multinomial(count, sizes)
-    fillings = tuple(count_skew_syt(shape) for shape, _ in skews)
+    fillings = tuple(_skew_count(outer, inner) for outer, inner in skews)
     return multinomial * prod(fillings), multinomial, fillings, sizes
 
 
@@ -579,22 +579,37 @@ def check_divisibility_theorem(lam, mu, cfg: CombineConfig) -> TheoremCheck:
 
 
 def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
-    """Exhaust all row/class pairs of size n for hypothesis-vs-divisibility."""
+    """Exhaust all row/class pairs of size n for hypothesis-vs-divisibility.
+
+    The hypothesis depends on a row only through its hook-length mask and on
+    a class only through the sizes of its sum sets, so it is tested once per
+    distinct mask and signature; each class then reads its column only for
+    the rows it accepts, in table order.
+    """
     report = VerifyReport("theorem3", {"n": n, "p": cfg.p, "r": cfg.r})
     rows = partitions_of(n)
-    masks = [hook_length_mask(lam) for lam in rows]
+    by_mask: dict[int, int] = {}  # hook-length mask -> bitset of row indices
+    for i, lam in enumerate(rows):
+        mask = hook_length_mask(lam)
+        by_mask[mask] = by_mask.get(mask, 0) | 1 << i
+    accepted: dict[tuple, int] = {}  # sum-set sizes -> bitset of rows
     for mu in rows:
         sum_sets = list(_sum_sets(mu, cfg))
-        if not sum_sets:
-            report.skipped += len(rows)
+        key = tuple(sizes for sizes, _, _ in sum_sets)
+        if key not in accepted:
+            # each row is in one mask's bitset, so their sum is their union
+            accepted[key] = sum(
+                bits
+                for mask, bits in by_mask.items()
+                if _hypothesis(mask, sum_sets) is not None
+            )
+        bits = accepted[key]
+        report.skipped += len(rows) - bits.bit_count()
+        if not bits:
             continue
-        column: list[int] | None = None
-        for i, lam in enumerate(rows):
-            if _hypothesis(masks[i], sum_sets) is None:
-                report.skipped += 1
-                continue
-            if column is None:
-                column = chi_column(mu)
+        column = chi_column(mu)
+        for i in _beads(bits):
+            lam = rows[i]
             report.check(
                 column[i] % cfg.q == 0,
                 lambda: {

@@ -42,8 +42,7 @@ class SkewShape:
 
     def row_spans(self) -> list[tuple[int, int]]:
         """Per row of outer, the half-open column interval [start, end) of cells."""
-        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
-        return [(inner[i], self.outer[i]) for i in range(len(self.outer))]
+        return list(_row_spans(self.outer, self.inner))
 
     def cells(self) -> list[tuple[int, int]]:
         return [
@@ -52,6 +51,11 @@ class SkewShape:
 
     def __str__(self) -> str:
         return f"{format_partition(self.outer)}/{format_partition(self.inner)}"
+
+
+def _row_spans(outer: Partition, inner: Partition) -> tuple[tuple[int, int], ...]:
+    """Per row of outer, the span [start, end) of the cells of outer/inner."""
+    return tuple(zip(inner + (0,) * (len(outer) - len(inner)), outer))
 
 
 def is_border_strip(shape: SkewShape) -> bool:
@@ -125,7 +129,12 @@ def count_skew_syt(shape: SkewShape) -> int:
     columns.  Computed by corner-removal recursion, memoized on the
     translation-canonical row spans.
     """
-    return _count_rows(_retrim(tuple(shape.row_spans())), _SKEW_COUNTS)
+    return _skew_count(shape.outer, shape.inner)
+
+
+def _skew_count(outer: Partition, inner: Partition) -> int:
+    """`count_skew_syt` of outer/inner, for checked partitions with inner inside outer."""
+    return _count_rows(_retrim(_row_spans(outer, inner)), _SKEW_COUNTS)
 
 
 def count_syt(shape) -> int:

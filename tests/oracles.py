@@ -485,6 +485,65 @@ def theorem3_hypothesis_per_length(lam, mu, cfg):
     return False, None, None
 
 
+def theorem3_per_pair(n, cfg):
+    """The theorem3 sweep one (class, row) pair at a time.
+
+    Tests the hypothesis on every pair and reads a class's column at its
+    first accepted row, through `divisibility.chi_column`, so a test that
+    patches that name patches it here too.
+    """
+    from charcore.abacus import hook_length_mask
+    from charcore.divisibility import VerifyReport, _hypothesis, _sum_sets, chi_column
+    from charcore.partitions import format_partition, partitions_of
+
+    report = VerifyReport("theorem3", {"n": n, "p": cfg.p, "r": cfg.r})
+    rows = partitions_of(n)
+    masks = [hook_length_mask(lam) for lam in rows]
+    for mu in rows:
+        sum_sets = list(_sum_sets(mu, cfg))
+        if not sum_sets:
+            report.skipped += len(rows)
+            continue
+        column = None
+        for i, lam in enumerate(rows):
+            if _hypothesis(masks[i], sum_sets) is None:
+                report.skipped += 1
+                continue
+            if column is None:
+                column = chi_column(mu)
+            report.check(
+                column[i] % cfg.q == 0,
+                lambda: {
+                    "lambda": format_partition(lam),
+                    "mu": format_partition(mu),
+                    "chi": str(column[i]),
+                    "modulus": cfg.q,
+                },
+            )
+    return report
+
+
+def predicted_count_via_shapes(lam, lam2, m, count):
+    """`_predicted_count` through `Abacus` windows and `SkewShape`s.
+
+    Returns (prediction, multinomial, fillings, sizes) from
+    `skew_per_residue` and `count_skew_syt`.
+    """
+    from math import prod
+
+    from charcore.abacus import from_partition, skew_per_residue
+    from charcore.tableaux import count_skew_syt
+
+    skews = skew_per_residue(from_partition(lam), from_partition(lam2), m)
+    sizes = tuple(size for _, size in skews)
+    assert sum(sizes) == count
+    multinomial = factorial(count)
+    for size in sizes:
+        multinomial //= factorial(size)
+    fillings = tuple(count_skew_syt(shape) for shape, _ in skews)
+    return multinomial * prod(fillings), multinomial, fillings, sizes
+
+
 def lemma62_per_row(n, m, cfg):
     """The lemma62 sweep one row at a time: skip the non-cores, check each group."""
     from charcore.abacus import is_tcore

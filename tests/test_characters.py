@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import io
 import json
@@ -275,7 +276,7 @@ class TestTable:
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(characters, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         n = characters.POOL_FROM
         build_table(n - 1, threads=2)
         assert started == []

@@ -554,3 +554,17 @@ class TestDeterminism:
             for t in (1, 2, 4)
         }
         assert len(outputs) == 1
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules (multiprocessing, pickle, socket, ...) would slow
+    # every CLI call's start-up, and only `build_table` with workers needs them
+    code = (
+        "import sys, charcore, charcore.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

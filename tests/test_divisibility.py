@@ -37,15 +37,18 @@ from oracles import (
     hook_sequence_signs,
     lemma62_per_row,
     lemma81_via_shapes,
+    predicted_count_via_shapes,
     prop_pm1_per_value,
     prop_pm1_sweep_per_value,
     random_order_reduce,
     reduce_class_by_class,
     theorem3_hypothesis_per_length,
+    theorem3_per_pair,
 )
 
 CFGS = [CombineConfig(2, 2), CombineConfig(2, 3), CombineConfig(3, 2)]
 ONE_LEVEL_CFGS = [CombineConfig(2, 1), CombineConfig(3, 1), CombineConfig(5, 1)]
+THEOREM3_CFGS = [CombineConfig(*c) for c in ((2, 1), (2, 2), (3, 1), (2, 3), (3, 2))]
 
 partition_lists = st.lists(st.integers(1, 6), max_size=10).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -383,6 +386,12 @@ class TestFactorization:
                 report = verify_factorization(n, m, max_hooks=3)
                 assert report.ok, report.as_dict()
 
+    def test_prediction_matches_the_shape_oracle(self):
+        for n, m in product(range(1, 13), (1, 2, 3)):
+            for lam, count, lam2, _ in divisibility._hook_groups(n, m, 4):
+                got = divisibility._predicted_count(lam, lam2, m, count)
+                assert got == predicted_count_via_shapes(lam, lam2, m, count)
+
     def test_witness_is_the_first_of_two_failures(self, monkeypatch):
         real = divisibility._predicted_count
 
@@ -562,8 +571,7 @@ class TestDivisibilityTheorem:
                 assert report.ok, report.as_dict()
 
     def test_hypothesis_matches_per_length_oracle(self):
-        cfgs = [CombineConfig(*c) for c in ((2, 1), (2, 2), (3, 1), (2, 3), (3, 2))]
-        for cfg, n in product(cfgs, range(1, 13)):
+        for cfg, n in product(THEOREM3_CFGS, range(1, 13)):
             rows = partitions_of(n)
             for lam, mu in product(rows, rows):
                 hit = divisibility._hypothesis(
@@ -571,6 +579,30 @@ class TestDivisibilityTheorem:
                 )
                 got = (True, *hit[:2]) if hit else (False, None, None)
                 assert got == theorem3_hypothesis_per_length(lam, mu, cfg)
+
+    def test_sweep_matches_per_pair_oracle(self):
+        for cfg, n in product(THEOREM3_CFGS, range(1, 13)):
+            got = verify_theorem3(n, cfg).as_dict()
+            assert got == theorem3_per_pair(n, cfg).as_dict(), (n, cfg)
+
+    def test_violations_under_two_signatures_keep_class_order(self, monkeypatch):
+        real = divisibility.chi_column
+        # at n = 8, p = 2, r = 1 both classes accept only the row [4,2,1,1];
+        # [3,2,2,1] has sum-set sizes (1, 2, 3) and comes first, [3,1,1,1,1,1]
+        # shares (1, 3) with the earlier class [3,3,1,1]
+        odd = {(3, 2, 2, 1), (3, 1, 1, 1, 1, 1)}
+
+        def odd_on_two_classes(mu):
+            return [x + (mu in odd) for x in real(mu)]
+
+        monkeypatch.setattr(divisibility, "chi_column", odd_on_two_classes)
+        cfg = CombineConfig(2, 1)
+        report = verify_theorem3(8, cfg)
+        assert report.as_dict() == theorem3_per_pair(8, cfg).as_dict()
+        assert report.violated == 2
+        assert report.witness == {
+            "lambda": "[4,2,1,1]", "mu": "[3,2,2,1]", "chi": "1", "modulus": 2
+        }
 
     def test_hypothesis_reachable(self):
         # the sweep is not vacuous at moderate sizes
