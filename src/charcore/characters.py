@@ -1,16 +1,17 @@
 """Exact irreducible character values by iterated border-strip removal.
 
 Each part of the cycle type removes a border strip of its length in every way
-the row allows, with sign (-1)^height.  One value (`chi`) walks the removals
-forward from its row, largest part first, keeping a signed path count per row
-reached.  The reads of many rows (`chi_column`, `_chi_values`, `build_table`)
-go the other way, from the empty row up, smallest part first, through strip
-lists (`_strip_lists`): for each row, the indices of the rows its t-strips
-leave, with the sign of their height.  A column reads the transfer lists of
-whole sizes (`_transfers`), built once per size N and part t for the life of
-the process; a read of chosen rows makes lists for only the rows they reach.
-Rows are bead masks (see `abacus.bead_mask`), encoded once per row and
-size.  Values are plain Python integers, so no precision is ever lost.
+the row allows, with sign (-1)^height.  Reads go from the empty row up,
+smallest part first, through transfer lists (`_transfers`): for each row of
+a size N, the indices of the rows of N - t its t-strips leave, with the sign
+of their height, built once per N and t for the life of the process.  The
+values of a class tail on every row of its size form a level (`_level`);
+levels of at most CHI_TAIL cells are kept, so they are built once for every
+class that ends in the same small parts.  One value (`chi`) or a few rows
+(`_chi_values`) walk forward from their rows instead, largest part first,
+until at most CHI_TAIL cells remain, and read the rest from the cached
+level.  Rows are bead masks (see `abacus.bead_mask`), encoded once per row
+and size.  Values are plain Python integers, so no precision is ever lost.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import IO
 
 from .abacus import (
@@ -49,10 +51,18 @@ TABLE_CAP = 26
 # its own transfer lists.
 POOL_FROM = 23
 # chi refuses n > CHI_CAP before any work, and stops once its walk has reached
-# CHI_STATES bead masks: 3.4-4.1 s and at most 90 MB peak RSS for the capped
-# queries measured (2-vCPU x86-64, Python 3.11)
+# CHI_STATES bead masks: 2.2-3.3 s and at most 85 MB peak RSS for the capped
+# queries measured on the CLI (2-vCPU x86-64, Python 3.11)
 CHI_CAP = 500
 CHI_STATES = 500_000
+# chi and _chi_values walk forward only while more than CHI_TAIL cells of mu
+# remain, and read the rest from its cached level (`_level`): at most
+# p(0) + ... + p(16) = 915 levels of 125,411 values in all.  Bench `point`
+# wall_s, median (range) of 3 runs of 20 s by CHI_TAIL (2-vCPU x86-64,
+# Python 3.11): no cut 1.22 (1.20-1.22) s, 12 1.05 (1.03-1.08), 14 1.04
+# (1.01-1.07), 16 1.00 (1.00-1.03), 18 1.04 (1.02-1.06), 20 1.18 (1.18-1.19),
+# 22 1.52 (1.51-1.55); past 16 the levels cost more to build than they save.
+CHI_TAIL = 16
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -71,19 +81,20 @@ def _same_size(lam, mu) -> tuple[Partition, Partition]:
 def chi(lam, mu) -> int:
     """Character value of the row `lam` on the conjugacy class `mu`.
 
-    Walks forward a level per part of mu, keeping {bead mask: signed number
-    of removal paths}: a strip of height h removed from a mask with count c
-    adds (-1)^h * c to the mask it leaves.  A tail of 1s in mu is not walked;
-    the value is the sum of c times the degree of each row left.  Raises
-    SizeCapError once the walk has reached more than CHI_STATES masks.
+    Walks forward a level per part of mu (`_head` of them), keeping {bead
+    mask: signed number of removal paths}: a strip of height h removed from
+    a mask with count c adds (-1)^h * c to the mask it leaves.  The value is
+    the sum of c times the value of the rest of mu on each row left
+    (`_tail_values`).  Raises SizeCapError once the walk has reached more
+    than CHI_STATES masks.
     """
     lam, mu = _same_size(lam, mu)
     if sum(mu) > CHI_CAP:
         raise SizeCapError(f"chi capped at n <= {CHI_CAP}, got {sum(mu)}")
     level = {_partition_mask(lam): 1}
     room = CHI_STATES - 1
-    head = mu[: len(mu) - mu.count(1)]
-    for k, t in enumerate(head):
+    k = _head(mu)
+    for j, t in enumerate(mu[:k]):
         reached: dict[int, int] = {}
         for w, c in level.items():
             for _, height, smaller in strip_removals(w, t):
@@ -91,11 +102,33 @@ def chi(lam, mu) -> int:
             if len(reached) > room:
                 raise SizeCapError(
                     f"chi capped at {CHI_STATES} bead-mask states, "
-                    f"exceeded on part {k + 1} of mu"
+                    f"exceeded on part {j + 1} of mu"
                 )
         room -= len(reached)
         level = reached
-    return sum(c * _degree_of_betas(_beads(w)) for w, c in level.items())
+    return sum(map(mul, level.values(), _tail_values(level, mu[k:])))
+
+
+def _head(mu: Partition) -> int:
+    """How many parts of mu a forward walk removes: its parts above 1 until
+    at most CHI_TAIL cells remain."""
+    left = sum(mu)
+    for k, t in enumerate(mu):
+        if left <= CHI_TAIL or t == 1:
+            return k
+        left -= t
+    return len(mu)
+
+
+def _tail_values(masks, tail: Partition) -> list[int]:
+    """chi of each row bead mask in `masks` on the class `tail`: read from
+    its cached level, or, for more than CHI_TAIL 1s, the degree of the row.
+    """
+    n = sum(tail)
+    if n > CHI_TAIL:
+        return [_degree_of_betas(_beads(w)) for w in masks]
+    level, index = _level(tail[::-1]), _row_index(n)
+    return [level[index[w]] for w in masks]
 
 
 @lru_cache(maxsize=None)
@@ -104,6 +137,12 @@ def _row_table(n: int) -> tuple[tuple[int, int], ...]:
     masks = [bead_mask(from_partition(lam)) for lam in partitions_of(n)]
     index = {w: i for i, w in enumerate(masks)}
     return tuple((w, index[_conjugate_mask(w)]) for w in masks)
+
+
+@lru_cache(maxsize=None)
+def _row_index(n: int) -> dict[int, int]:
+    """{bead mask: table index} of the rows of size n; never to be changed."""
+    return {w: i for i, (w, _) in enumerate(_row_table(n))}
 
 
 def _strip_lists(rows, t: int, index: dict[int, int]) -> list[list[int]]:
@@ -138,24 +177,35 @@ def _apply(lists, values: list[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def _transfers(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     """`_strip_lists` of every row of size n, in table order, against the
-    table order of size n - t.  Each row of n is scanned once per t for the
-    life of the process, and equal entries are held once.
+    table order of size n - t, which holds every row left.  Each row of n is
+    scanned once per t for the life of the process, and equal entries are
+    held once.
     """
-    index = {w: i for i, (w, _) in enumerate(_row_table(n - t))}
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    lists = _strip_lists((w for w, _ in _row_table(n)), t, index)
+    lists = _strip_lists((w for w, _ in _row_table(n)), t, _row_index(n - t))
     return tuple(seen.setdefault(row, row) for row in map(tuple, lists))
 
 
-def _level(tail) -> list[int]:
+# levels of class tails of at most CHI_TAIL cells, kept for the life of the
+# process; never to be changed
+_LEVELS: dict[tuple[int, ...], list[int]] = {}
+
+
+def _level(tail: tuple[int, ...]) -> list[int]:
     """Values of the class `tail`, whose parts are increasing, on every row
-    of size sum(tail) in table order: the transfer lists of its parts applied
-    to [1], the value on the empty row, one part at a time.
+    of size sum(tail) in table order: the transfer list of its last part
+    applied to the level of the parts before it, down to [1], the value on
+    the empty row.  Levels of at most CHI_TAIL cells are read from
+    `_LEVELS`, and built once.
     """
-    level, size = [1], 0
-    for t in tail:
-        size += t
-        level = _apply(_transfers(size, t), level)
+    if not tail:
+        return [1]
+    level = _LEVELS.get(tail)
+    if level is None:
+        n = sum(tail)
+        level = _apply(_transfers(n, tail[-1]), _level(tail[:-1]))
+        if n <= CHI_TAIL:
+            _LEVELS[tail] = level
     return level
 
 
@@ -163,17 +213,18 @@ def _chi_values(masks, mu: Partition) -> list[int]:
     """chi of each row bead mask in `masks` on the class mu.
 
     Strip lists are made for only the rows the masks reach, largest part
-    first, so a few rows cost far less than their column.  As in `chi`, a
-    tail of 1s in mu is not walked: the rows left get their degrees, and the
-    lists are applied from there back up as in `_level`.
+    first, so a few rows cost far less than their column.  As in `chi`, the
+    walk stops after `_head(mu)` parts: the rows left get their values from
+    `_tail_values`, and the lists are applied from there back up.
     """
     top = {w: i for i, w in enumerate(dict.fromkeys(masks))}
     index, lists = top, []
-    for t in mu[: len(mu) - mu.count(1)]:
+    k = _head(mu)
+    for t in mu[:k]:
         below: dict[int, int] = {}
         lists.append(_strip_lists(index, t, below))
         index = below
-    level = [_degree_of_betas(_beads(w)) for w in index]
+    level = _tail_values(index, mu[k:])
     for rows in reversed(lists):
         level = _apply(rows, level)
     return [level[top[w]] for w in masks]

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import charcore.characters as characters
 from charcore.characters import build_table
 
 
@@ -41,3 +42,18 @@ class TableCache:
 @pytest.fixture(scope="session")
 def tables():
     return TableCache()
+
+
+@pytest.fixture
+def cold_characters():
+    """Every process-lifetime cache of `characters` empty when the test starts,
+    and emptied again when it ends, so nothing it built under a patch is kept."""
+
+    def clear():
+        for cache in (characters._row_table, characters._row_index, characters._transfers):
+            cache.cache_clear()
+        characters._LEVELS.clear()
+
+    clear()
+    yield
+    clear()

@@ -97,6 +97,29 @@ def mn_reference(lam, mu):
     )
 
 
+def chi_walk(lam, mu):
+    """chi(lam, mu) by the forward walk over every part of mu above its 1s.
+
+    Keeps {bead mask: signed number of removal paths} a level per part,
+    largest first, with no cut, cap or cached level, then sums each count
+    times the hook-length degree of the row left.  It reads the library's
+    hook scan and degree formula, which other oracles check on their own.
+    """
+    from charcore.abacus import _beads, _partition_mask, strip_removals
+    from charcore.tableaux import _degree_of_betas
+
+    level = {_partition_mask(tuple(lam)): 1}
+    for t in mu:
+        if t == 1:
+            break
+        reached = {}
+        for w, c in level.items():
+            for _, height, smaller in strip_removals(w, t):
+                reached[smaller] = reached.get(smaller, 0) + (-c if height & 1 else c)
+        level = reached
+    return sum(c * _degree_of_betas(_beads(w)) for w, c in level.items())
+
+
 def brute_skew_syt(outer, inner):
     """Count standard fillings of outer/inner by direct placement of 1..size."""
     inner = tuple(inner) + (0,) * (len(outer) - len(inner))

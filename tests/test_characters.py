@@ -16,6 +16,7 @@ import oracles
 from charcore.characters import (
     CHI_CAP,
     CHI_STATES,
+    CHI_TAIL,
     CharacterTable,
     build_table,
     centralizer_order,
@@ -27,8 +28,14 @@ from charcore.characters import (
     write_table_json,
 )
 from charcore.errors import SizeCapError
-from charcore.partitions import conjugate, hook_lengths, partitions_of
+from charcore.partitions import conjugate, hook_lengths, partition_count, partitions_of
 from oracles import mn_reference
+
+
+@functools.cache
+def short_classes(n):
+    """The classes of n with at most 16 parts."""
+    return [mu for mu in partitions_of(n) if len(mu) <= 16]
 
 
 row_class_pairs = st.integers(1, 12).flatmap(
@@ -90,14 +97,24 @@ class TestChi:
         assert chi((1,) * CHI_CAP, (2,) * half) == (-1) ** half
 
     def test_state_budget_counts_every_mask_reached(self, monkeypatch):
-        # (2,2) on (2,2) reaches (2,2), then (2) and (1,1), then the empty row
-        monkeypatch.setattr(characters, "CHI_STATES", 4)
-        assert chi((2, 2), (2, 2)) == 2
-        monkeypatch.setattr(characters, "CHI_STATES", 3)
-        with pytest.raises(SizeCapError, match="3 bead-mask states"):
-            chi((2, 2), (2, 2))
+        # (k, k) on 2^k walks three parts before CHI_TAIL cells remain.  A
+        # 2-strip of a two-row shape (a, b) leaves (a - 2, b) when a - 2 >= b,
+        # (a, b - 2) when b >= 2, and (a - 1, b - 1) when a == b, so after
+        # j parts the walk holds the j + 1 rows (k - i, k - 2j + i), 0 <= i <= j:
+        # 1 + 2 + 3 + 4 = 10 masks in all
+        k = CHI_TAIL // 2 + 3
+        lam, mu = (k, k), (2,) * k
+        assert sum(mu) - 6 == CHI_TAIL
+        monkeypatch.setattr(characters, "CHI_STATES", 10)
+        assert chi(lam, mu) == oracles.chi_walk(lam, mu)
+        monkeypatch.setattr(characters, "CHI_STATES", 9)
+        with pytest.raises(SizeCapError, match="9 bead-mask states, exceeded on part 3"):
+            chi(lam, mu)
 
     def test_one_check_per_partition(self, monkeypatch):
+        # the first read of a size's row table encodes, and so checks, each of
+        # its rows once per process
+        chi((3, 2, 1), (3, 1, 1, 1))
         check, calls = partitions.check_partition, []
 
         def counted(parts):
@@ -136,6 +153,32 @@ class TestChi:
         lam, mu = pair
         assert chi(lam, mu) == mn_reference(lam, mu)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.sampled_from(partitions_of(n)), st.sampled_from(short_classes(n))
+            )
+        )
+    )
+    def test_against_the_uncut_walk(self, pair):
+        lam, mu = pair
+        assert chi(lam, mu) == oracles.chi_walk(lam, mu)
+
+    def test_cached_levels_stay_within_their_bound(self):
+        for n in range(1, 17):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    chi(lam, mu)
+        build_table(18)
+        sizes = range(CHI_TAIL + 1)
+        tails = {mu[::-1] for s in sizes[1:] for mu in partitions_of(s)}
+        assert set(characters._LEVELS) == tails
+        assert len(tails) < sum(map(partition_count, sizes))
+        assert sum(map(len, characters._LEVELS.values())) <= sum(
+            partition_count(s) ** 2 for s in sizes
+        )
+
     def test_non_integral_parts_are_refused(self):
         with pytest.raises(ValueError, match="got 2.9"):
             chi((2.9, 1), (3,))
@@ -165,7 +208,7 @@ class TestChi:
                     assert table.rows[ci][j] == class_sign(mu) * table.rows[i][j]
 
 
-row_picks = st.integers(1, 16).flatmap(
+row_picks = st.integers(1, 20).flatmap(
     lambda n: st.tuples(
         st.sampled_from(partitions_of(n)),
         st.lists(st.integers(0, len(partitions_of(n)) - 1), max_size=40),
@@ -248,20 +291,15 @@ class TestTable:
         with pytest.raises(SizeCapError):
             build_table(27)
 
-    def test_rows_encoded_once_per_size(self, monkeypatch):
+    def test_rows_encoded_once_per_size(self, monkeypatch, cold_characters):
         encode, calls = characters.from_partition, []
 
         def counted(parts):
             calls.append(parts)
             return encode(parts)
 
-        caches = (characters._row_table, characters._transfers)
         monkeypatch.setattr(characters, "from_partition", counted)
-        for cache in caches:
-            cache.cache_clear()
         build_table(9)
-        for cache in caches:
-            cache.cache_clear()
         # the transfer lists reach every size below 9 through the class 1^9
         assert sorted(calls) == sorted(lam for k in range(10) for lam in partitions_of(k))
 

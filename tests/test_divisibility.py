@@ -494,8 +494,12 @@ class TestPropPm1:
                 single = verify_prop_pm1(lam, m, cfg)
                 assert single.as_dict() == prop_pm1_per_value(lam, m, cfg).as_dict()
 
-    def test_class_checks_of_a_row_come_before_the_next_row(self, monkeypatch):
-        # the first core row gets wrong values, the last a wrong coefficient
+    def test_class_checks_of_a_row_come_before_the_next_row(
+        self, monkeypatch, cold_characters
+    ):
+        # the first core row gets wrong values, the last a wrong coefficient;
+        # every class of n is read from levels, which start cold so that the
+        # fault reaches them
         n, m, cfg = 12, 2, CombineConfig(2, 2)
         cores = [lam for lam in partitions_of(n) if is_tcore(lam, 4)]
         first, last = cores[0], cores[-1]
@@ -504,8 +508,8 @@ class TestPropPm1:
         sequences = divisibility.enumerate_hook_sequences
 
         def wrong(w, t):
-            # the shared column and the oracle's chi both scan the row here;
-            # its first strip is counted twice
+            # the levels that the sweep and the oracle's chi share scan the
+            # row here; its first strip is counted twice
             found = exact(w, t)
             return found + found[:1] if w == bad else found
 

@@ -2,8 +2,9 @@
 
 Every name a module imports must be used in it, every private top-level
 name (`_x`, not a dunder) must be referenced somewhere in the package, only
-`VerifyReport` sets a verifier's tallies, and no private function but
-`_same_size` checks a partition.
+`VerifyReport` sets a verifier's tallies, no private function but
+`_same_size` checks a partition, and every cache that lives as long as the
+process is named, with its bound, in `docs/formats.md`.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "charcore"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "charcore"
 MODULES = sorted(SRC.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text()) for path in MODULES}
 
@@ -125,3 +127,93 @@ def test_private_functions_take_checked_partitions():
         for line in _calls_of(node, "check_partition")
     ]
     assert not checking, f"private functions that call check_partition: {checking}"
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+MUTATORS = {"append", "extend", "insert", "setdefault", "update", "pop", "clear", "add"}
+
+
+def _process_caches(tree, functions):
+    """Every cache in the tree that lives as long as the process.
+
+    That is each top-level function decorated with `cache` or `lru_cache`,
+    and each top-level list, dict or set display that a function changes:
+    through a mutating method, a subscript store, or by handing it to one of
+    `functions` (the package's own top-level functions), which may fill it.
+    """
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if getattr(d, "id", getattr(d, "attr", None)) in CACHE_DECORATORS:
+                    yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if isinstance(node.value, (ast.List, ast.Dict, ast.Set)):
+                containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    changed = set()
+    for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Attribute) and f.attr in MUTATORS:
+                    changed.add(getattr(f.value, "id", None))
+                elif isinstance(f, ast.Name) and f.id in functions:
+                    changed.update(getattr(a, "id", None) for a in node.args)
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                changed.add(getattr(node.value, "id", None))
+    yield from sorted(containers & changed)
+
+
+def _package_functions():
+    return {
+        node.name
+        for tree in TREES.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_cache_finder_sees_each_kind():
+    source = """
+from functools import cache, lru_cache
+
+@cache
+def a(x):
+    return x
+
+@lru_cache(maxsize=None)
+def b(x):
+    return x
+
+_STORED = {}
+_APPENDED = []
+_HANDED = {}
+_READ = {}
+_FILLED: list = []
+
+def c(x):
+    _STORED[x] = _READ[x] + len(_READ)
+    _APPENDED.append(x)
+    d(_HANDED)
+    return tuple(_READ)
+
+def d(memo):
+    _FILLED.extend(memo)
+"""
+    found = set(_process_caches(ast.parse(source), {"a", "b", "c", "d"}))
+    assert found == {"a", "b", "_STORED", "_APPENDED", "_HANDED", "_FILLED"}
+
+
+def test_process_caches_are_documented_with_their_bounds():
+    section = (ROOT / "docs" / "formats.md").read_text()
+    section = section.split("## Process-lifetime caches")[1].split("\n## ")[0]
+    functions = _package_functions()
+    missing = [
+        f"{module[:-3]}.{name}"
+        for module, tree in TREES.items()
+        for name in _process_caches(tree, functions)
+        if f"`{module[:-3]}.{name}`" not in section
+    ]
+    assert not missing, f"caches not named under Process-lifetime caches: {missing}"
