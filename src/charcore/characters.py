@@ -4,9 +4,10 @@ Each part of the cycle type removes a border strip of its length in every way
 the row allows, with sign (-1)^height.  Reads go from the empty row up,
 smallest part first, through transfer lists (`_transfers`): for each row of
 a size N, the indices of the rows of N - t its t-strips leave, with the sign
-of their height, built once per N and t for the life of the process.  The
-values of a class tail on every row of its size form a level (`_level`);
-levels of at most CHI_TAIL cells are kept, so they are built once for every
+of their height, held flat and built once per N and t for the life of the
+process.  The values of a class tail on every row of its size form a level
+(`_level`), and a part goes up a level in a few C-level passes (`_apply`).
+Levels of at most CHI_TAIL cells are kept, so they are built once for every
 class that ends in the same small parts.  One value (`chi`) or a few rows
 (`_chi_values`) walk forward from their rows instead, largest part first,
 until at most CHI_TAIL cells remain, and read the rest from the cached
@@ -19,8 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, islice
 from math import factorial
-from operator import mul
+from operator import mul, sub
 from typing import IO
 
 from .abacus import (
@@ -42,14 +44,20 @@ from .partitions import (
 from .tableaux import _degree_of_betas, count_syt
 
 TABLE_CAP = 26
-# build_table starts worker processes only from n = POOL_FROM, where they
-# first pay.  CLI `table n --format csv`, median (quartiles) of 10 alternating
-# runs with 1 and 2 workers (2-vCPU x86-64, Python 3.11): n = 20 0.55
-# (0.49-0.65) / 0.72 (0.65-0.79) s, 22 1.19 (0.98-1.22) / 1.01 (0.92-1.04) s,
-# 23 1.73 (1.53-1.76) / 1.35 (1.27-1.42) s, 24 2.44 (2.40-2.54) / 1.96
-# (1.87-2.07) s, 26 5.57 (5.42-5.64) / 4.18 (4.04-4.33) s.  Each worker builds
-# its own transfer lists.
-POOL_FROM = 23
+# build_table starts worker processes only from n = POOL_FROM, the first n
+# where two of them ran no slower than one.  CLI `table n --format csv`,
+# median (quartiles) of 10 alternating runs with 1 and 2 workers, workers
+# started at every n (2-vCPU x86-64, Python 3.11): n = 20 0.46 (0.43-0.48) /
+# 0.59 (0.57-0.64) s, 22 0.73 (0.72-0.76) / 0.95 (0.93-0.97) s, 23 1.05
+# (0.90-1.14) / 1.18 (1.07-1.40) s, 24 1.45 (1.27-1.51) / 1.38 (1.22-1.45) s,
+# 25 2.31 (2.24-2.53) / 2.15 (2.03-2.28) s, 26 3.39 (3.22-3.69) / 3.01
+# (2.85-3.33) s.  At no n does the gain pass the spread between runs: each
+# worker builds its own transfer lists, and only the parent writes the table.
+POOL_FROM = 24
+# build_table refuses more than THREADS_CAP workers before any work: the pool
+# forks all of them at once, and each builds its own transfer lists (36 MB
+# peak RSS per worker at n = 26, besides the 154 MB of the parent process).
+THREADS_CAP = 16
 # chi refuses n > CHI_CAP before any work, and stops once its walk has reached
 # CHI_STATES bead masks: 2.2-3.3 s and at most 85 MB peak RSS for the capped
 # queries measured on the CLI (2-vCPU x86-64, Python 3.11)
@@ -132,35 +140,53 @@ def _tail_values(masks, tail: Partition) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _row_table(n: int) -> tuple[tuple[int, int], ...]:
-    """(bead mask, index of the conjugate) of every row of size n, in table order."""
+def _row_table(n: int) -> tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
+    """The rows of size n in level order, and where each row of table order
+    is read from the top of a column: (bead masks, top, plain, signed).
+
+    Level order puts first, in table order, the `top` rows whose table index
+    is at most their conjugate's, then the others.  Entry i of `plain` is the
+    level position of table row i, or of its conjugate when row i is not a
+    top row; `signed` complements those conjugate positions, for reading
+    against `_signed` of the top rows' values.
+    """
     masks = [bead_mask(from_partition(lam)) for lam in partitions_of(n)]
     index = {w: i for i, w in enumerate(masks)}
-    return tuple((w, index[_conjugate_mask(w)]) for w in masks)
+    conjugates = [index[_conjugate_mask(w)] for w in masks]
+    top = [i for i, j in enumerate(conjugates) if i <= j]
+    position = {i: k for k, i in enumerate(top)}
+    plain, signed = [], []
+    for i, j in enumerate(conjugates):
+        k = position[min(i, j)]
+        plain.append(k)
+        signed.append(k if i <= j else ~k)
+    order = top + [i for i, j in enumerate(conjugates) if i > j]
+    return tuple(masks[i] for i in order), len(top), tuple(plain), tuple(signed)
 
 
 @lru_cache(maxsize=None)
 def _row_index(n: int) -> dict[int, int]:
-    """{bead mask: table index} of the rows of size n; never to be changed."""
-    return {w: i for i, (w, _) in enumerate(_row_table(n))}
+    """{bead mask: level position} of the rows of size n; never to be changed."""
+    return {w: k for k, w in enumerate(_row_table(n)[0])}
 
 
-def _strip_lists(rows, t: int, index: dict[int, int]) -> list[list[int]]:
-    """Per bead mask in `rows`, where its t-strips lead.
+def _strip_lists(rows, t: int, index: dict[int, int]) -> tuple[list[int], list[int]]:
+    """Where the t-strips of each bead mask in `rows` lead, held flat.
 
-    A row's entry holds, per t-strip, the index in `index` of the row left
-    by removing it, or its complement ~i when the strip's height is odd;
-    rows left that are not yet in `index` are numbered on from it.  Read
-    against a signed level (`_signed`), one sum gives the row's value.
+    The first list holds, per t-strip of each row in turn, the index in
+    `index` of the row left by removing it, or its complement ~i when the
+    strip's height is odd; rows left that are not yet in `index` are
+    numbered on from it.  The second holds the offsets where each row's
+    entries start, and then where the last one ends.  Read against a signed
+    level (`_signed`), a row's entries sum to its value.
     """
-    lists = []
+    flat, bounds = [], [0]
     for w in rows:
-        row = []
         for _, height, smaller in strip_removals(w, t):
             i = index.setdefault(smaller, len(index))
-            row.append(~i if height & 1 else i)
-        lists.append(row)
-    return lists
+            flat.append(~i if height & 1 else i)
+        bounds.append(len(flat))
+    return flat, bounds
 
 
 def _signed(values: list[int]) -> list[int]:
@@ -168,22 +194,29 @@ def _signed(values: list[int]) -> list[int]:
     return values + [-v for v in reversed(values)]
 
 
-def _apply(lists, values: list[int]) -> list[int]:
-    """The values one part up: each entry of `lists` summed over `values`."""
+def _apply(lists, values: list[int], rows: int | None = None) -> list[int]:
+    """The values one part up: the entries of each row of `lists` (flat, as
+    `_strip_lists` makes them) summed over `values`, for the first `rows`
+    rows or all of them.  One prefix sum over the flat entries, then one
+    difference per row; a row with no entries gets 0.
+    """
+    flat, bounds = lists
+    if rows is None:
+        rows = len(bounds) - 1
     g = _signed(values).__getitem__
-    return [sum(map(g, row)) for row in lists]
+    pre = list(accumulate(map(g, islice(flat, bounds[rows])), initial=0))
+    get = pre.__getitem__
+    return list(map(sub, map(get, islice(bounds, 1, rows + 1)), map(get, bounds)))
 
 
 @lru_cache(maxsize=None)
-def _transfers(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """`_strip_lists` of every row of size n, in table order, against the
-    table order of size n - t, which holds every row left.  Each row of n is
-    scanned once per t for the life of the process, and equal entries are
-    held once.
+def _transfers(n: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_strip_lists` of every row of size n, in level order, against the
+    level order of size n - t, which holds every row left.  Each row of n is
+    scanned once per t for the life of the process.
     """
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    lists = _strip_lists((w for w, _ in _row_table(n)), t, _row_index(n - t))
-    return tuple(seen.setdefault(row, row) for row in map(tuple, lists))
+    flat, bounds = _strip_lists(_row_table(n)[0], t, _row_index(n - t))
+    return tuple(flat), tuple(bounds)
 
 
 # levels of class tails of at most CHI_TAIL cells, kept for the life of the
@@ -193,7 +226,7 @@ _LEVELS: dict[tuple[int, ...], list[int]] = {}
 
 def _level(tail: tuple[int, ...]) -> list[int]:
     """Values of the class `tail`, whose parts are increasing, on every row
-    of size sum(tail) in table order: the transfer list of its last part
+    of size sum(tail) in level order: the transfer list of its last part
     applied to the level of the parts before it, down to [1], the value on
     the empty row.  Levels of at most CHI_TAIL cells are read from
     `_LEVELS`, and built once.
@@ -234,19 +267,19 @@ def chi_column(mu) -> list[int]:
     """Character values of every row, in reverse-lex order, on the class `mu`.
 
     The parts below the largest give a full level (`_level`); at the top
-    only rows whose index is at most their conjugate's are computed;
-    chi^{lam'}(mu) = (-1)^(n - len(mu)) chi^lam(mu) gives the others.
+    only the top rows of `_row_table` are computed, and each row of table
+    order reads its own value or its conjugate's, since
+    chi^{lam'}(mu) = (-1)^(n - len(mu)) chi^lam(mu).
     """
     mu = check_partition(mu)
     if not mu:
         return [1]
     n = sum(mu)
-    sign = -1 if (n - len(mu)) & 1 else 1
-    g = _signed(_level(mu[:0:-1])).__getitem__
-    column: list[int] = []
-    for i, (row, (_, j)) in enumerate(zip(_transfers(n, mu[0]), _row_table(n))):
-        column.append(sum(map(g, row)) if i <= j else sign * column[j])
-    return column
+    _, top, plain, signed = _row_table(n)
+    half = _apply(_transfers(n, mu[0]), _level(mu[:0:-1]), top)
+    if (n - len(mu)) & 1:
+        return list(map(_signed(half).__getitem__, signed))
+    return list(map(half.__getitem__, plain))
 
 
 def degree(lam) -> int:
@@ -275,12 +308,15 @@ def build_table(n: int, threads: int = 1) -> CharacterTable:
     """Compute the full character table, one class column at a time.
 
     Columns are independent, so from n = POOL_FROM they may be farmed out to
-    worker processes; the result is identical for every worker count.
+    worker processes; the result is identical for every worker count.  More
+    than THREADS_CAP workers are refused before any work.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > TABLE_CAP:
         raise SizeCapError(f"table size capped at n <= {TABLE_CAP}, got {n}")
+    if threads > THREADS_CAP:
+        raise SizeCapError(f"threads capped at {THREADS_CAP} workers, got {threads}")
     parts = partitions_of(n)
     if threads > 1 and n >= POOL_FROM:
         # imported here: the pool pulls in multiprocessing, which no other path needs

@@ -33,9 +33,9 @@ from .partitions import (
 
 
 def _threads(args) -> int:
-    """The --threads value, defaulting to the CPU count."""
+    """The --threads value, defaulting to the CPU count up to THREADS_CAP."""
     if args.threads is None:
-        return max(1, os.cpu_count() or 1)
+        return min(max(1, os.cpu_count() or 1), characters.THREADS_CAP)
     if args.threads < 1:
         raise FormatError(f"--threads must be at least 1, got {args.threads}")
     return args.threads

@@ -97,6 +97,12 @@ def mn_reference(lam, mu):
     )
 
 
+def apply_per_row(lists, values):
+    """The values one part up, one sum per row of `lists`: entry i of a row
+    reads values[i], and its complement ~i reads -values[i]."""
+    return [sum(values[i] if i >= 0 else -values[~i] for i in row) for row in lists]
+
+
 def chi_walk(lam, mu):
     """chi(lam, mu) by the forward walk over every part of mu above its 1s.
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import charcore.characters as characters
 import charcore.partitions as partitions
 import oracles
+from charcore.abacus import _partition_mask, strip_removals
 from charcore.characters import (
     CHI_CAP,
     CHI_STATES,
@@ -45,6 +46,22 @@ row_class_pairs = st.integers(1, 12).flatmap(
 
 def class_sign(mu):
     return -1 if (sum(mu) - len(mu)) % 2 else 1
+
+
+def per_row_lists(n, t):
+    """Per row of n in level order, one list of where its t-strips lead: the
+    level position of each row of n - t left, complemented for odd heights."""
+    index = characters._row_index(n - t)
+    return [
+        [
+            ~index[smaller] if height & 1 else index[smaller]
+            for _, height, smaller in strip_removals(w, t)
+        ]
+        for w in characters._row_table(n)[0]
+    ]
+
+
+STRIP_PAIRS = [(n, t) for n in range(1, 15) for t in range(1, n + 1)]
 
 
 class TestChi:
@@ -234,9 +251,9 @@ class TestColumns:
     @given(row_picks)
     def test_chosen_rows_match_the_column(self, case):
         mu, picks = case
-        rows = characters._row_table(sum(mu))
+        rows = partitions_of(sum(mu))
         column = chi_column(mu)
-        got = characters._chi_values([rows[i][0] for i in picks], mu)
+        got = characters._chi_values([_partition_mask(rows[i]) for i in picks], mu)
         assert got == [column[i] for i in picks]
 
     def test_table_equals_its_columns_in_table_order(self, tables):
@@ -244,6 +261,33 @@ class TestColumns:
             parts = partitions_of(n)
             rows = tables.get(n).rows
             assert rows == tuple(zip(*[chi_column(mu) for mu in parts]))
+
+
+class TestFlatTransfers:
+    def test_some_rows_have_no_strip(self):
+        assert any(not row for n, t in STRIP_PAIRS for row in per_row_lists(n, t))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_flat_apply_equals_the_per_row_sums(self, data):
+        for n, t in STRIP_PAIRS:
+            size = partition_count(n - t)
+            values = data.draw(st.lists(st.integers(), min_size=size, max_size=size))
+            rows = data.draw(st.integers(0, partition_count(n)))
+            per_row = oracles.apply_per_row(per_row_lists(n, t), values)
+            lists = characters._transfers(n, t)
+            assert characters._apply(lists, values) == per_row
+            assert characters._apply(lists, values, rows) == per_row[:rows]
+
+    def test_half_column_fills_the_full_column(self):
+        for n in range(1, 15):
+            masks = characters._row_table(n)[0]
+            in_table_order = [_partition_mask(lam) for lam in partitions_of(n)]
+            for mu in partitions_of(n):
+                below = characters._level(mu[:0:-1])
+                full = oracles.apply_per_row(per_row_lists(n, mu[0]), below)
+                value = dict(zip(masks, full))
+                assert chi_column(mu) == [value[w] for w in in_table_order]
 
 
 class TestDegree:
@@ -322,6 +366,27 @@ class TestTable:
         for threads in (2, 4):
             assert build_table(n, threads=threads) == serial
         assert started == [2, 4]
+
+    def test_threads_above_the_cap_start_no_pool(self, monkeypatch):
+        started = []
+
+        class Refused(Exception):
+            pass
+
+        def recorded(max_workers):
+            started.append(max_workers)
+            raise Refused
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+        n = characters.POOL_FROM
+        for threads in (characters.THREADS_CAP + 1, 10**8):
+            with pytest.raises(SizeCapError, match=f"got {threads}"):
+                build_table(n, threads=threads)
+        assert started == []
+        for threads in (2, 4, 8, characters.THREADS_CAP):
+            with pytest.raises(Refused):
+                build_table(n, threads=threads)
+        assert started == [2, 4, 8, characters.THREADS_CAP]
 
 
 class TestOrthogonality:

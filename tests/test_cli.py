@@ -548,6 +548,65 @@ class TestDeterminism:
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "n,fmt,digest",
+        [
+            (
+                "16",
+                "csv",
+                "cec761eb5b803bc51ad7c9e9c79c86448bbbe42fe1f5d2109dd7ed2ffa5c9e40",
+            ),
+            (
+                "16",
+                "json",
+                "f141f9a480850b3c2ac0864d18c38bcd83a9ad78eac60683e92e556c29cc8afa",
+            ),
+            (
+                "20",
+                "csv",
+                "9b2f8603f38071bd0da7edf7bce23d08b16375ec8daa0a7f342d2a15116949a1",
+            ),
+            (
+                "20",
+                "json",
+                "414c6ae605923e0a2a48ee80303c8e26f748d510edb74dea174f46d4614a309a",
+            ),
+        ],
+    )
+    def test_table_output_is_frozen(self, n, fmt, digest):
+        # orthogonality is checked only up to n = 14, so whole tables past it
+        # are pinned here
+        res = run_cli("table", n, "--format", fmt, "--threads", "1")
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table", "23", "--threads", "100000000"),
+            ("stats", "density", "--n", "23", "--mod", "2", "--threads", "17"),
+        ],
+    )
+    def test_threads_above_the_cap_exit_two_before_any_pool(
+        self, args, monkeypatch, capsys
+    ):
+        # in process, with the pool patched, so that a missed cap starts nothing
+        import concurrent.futures
+
+        from charcore import cli
+
+        started = []
+
+        def recorded(max_workers):
+            started.append(max_workers)
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+        assert cli.main(list(args)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and started == []
+        assert err == f"charcore: error: threads capped at 16 workers, got {args[-1]}\n"
+
     def test_thread_count_invariant(self):
         outputs = {
             run_cli("table", "9", "--format", "csv", "--threads", str(t)).stdout
