@@ -57,8 +57,6 @@ from .tableaux import (
     count_skew_syt,
     count_syt,
     is_border_strip,
-    lr_coefficient,
-    verify_lr_expansion,
 )
 
 __version__ = "0.1.0"

@@ -44,20 +44,6 @@ from .partitions import (
 from .tableaux import _degree_of_betas, count_syt
 
 TABLE_CAP = 26
-# build_table starts worker processes only from n = POOL_FROM, the first n
-# where two of them ran no slower than one.  CLI `table n --format csv`,
-# median (quartiles) of 10 alternating runs with 1 and 2 workers, workers
-# started at every n (2-vCPU x86-64, Python 3.11): n = 20 0.46 (0.43-0.48) /
-# 0.59 (0.57-0.64) s, 22 0.73 (0.72-0.76) / 0.95 (0.93-0.97) s, 23 1.05
-# (0.90-1.14) / 1.18 (1.07-1.40) s, 24 1.45 (1.27-1.51) / 1.38 (1.22-1.45) s,
-# 25 2.31 (2.24-2.53) / 2.15 (2.03-2.28) s, 26 3.39 (3.22-3.69) / 3.01
-# (2.85-3.33) s.  At no n does the gain pass the spread between runs: each
-# worker builds its own transfer lists, and only the parent writes the table.
-POOL_FROM = 24
-# build_table refuses more than THREADS_CAP workers before any work: the pool
-# forks all of them at once, and each builds its own transfer lists (36 MB
-# peak RSS per worker at n = 26, besides the 154 MB of the parent process).
-THREADS_CAP = 16
 # chi refuses n > CHI_CAP before any work, and stops once its walk has reached
 # CHI_STATES bead masks: 2.2-3.3 s and at most 85 MB peak RSS for the capped
 # queries measured on the CLI (2-vCPU x86-64, Python 3.11)
@@ -304,29 +290,14 @@ class CharacterTable:
     rows: tuple[tuple[int, ...], ...]
 
 
-def build_table(n: int, threads: int = 1) -> CharacterTable:
-    """Compute the full character table, one class column at a time.
-
-    Columns are independent, so from n = POOL_FROM they may be farmed out to
-    worker processes; the result is identical for every worker count.  More
-    than THREADS_CAP workers are refused before any work.
-    """
+def build_table(n: int) -> CharacterTable:
+    """Compute the full character table, one class column at a time."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > TABLE_CAP:
         raise SizeCapError(f"table size capped at n <= {TABLE_CAP}, got {n}")
-    if threads > THREADS_CAP:
-        raise SizeCapError(f"threads capped at {THREADS_CAP} workers, got {threads}")
     parts = partitions_of(n)
-    if threads > 1 and n >= POOL_FROM:
-        # imported here: the pool pulls in multiprocessing, which no other path needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(parts) // (threads * 8))
-            columns = list(pool.map(chi_column, parts, chunksize=chunk))
-    else:
-        columns = [chi_column(mu) for mu in parts]
+    columns = [chi_column(mu) for mu in parts]
     return CharacterTable(n, parts, tuple(zip(*columns)))
 
 

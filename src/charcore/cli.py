@@ -7,8 +7,8 @@ error (one `charcore: internal error: <Type>: <message>` line on stderr).  A
 reader that closes stdout early ends the run quietly with 0.  `--out` is
 written to a temporary file that replaces the target only when the command
 completes.
-Output is byte-identical for identical arguments and independent of the
-worker count.
+Output is byte-identical for identical arguments; `--threads` is accepted
+but changes neither the work nor the output.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ from .partitions import (
 )
 
 
-def _threads(args) -> int:
-    """The --threads value, defaulting to the CPU count up to THREADS_CAP."""
-    if args.threads is None:
-        return min(max(1, os.cpu_count() or 1), characters.THREADS_CAP)
-    if args.threads < 1:
+def _check_threads(args) -> None:
+    """Refuse a --threads below 1; any other value changes nothing."""
+    if args.threads is not None and args.threads < 1:
         raise FormatError(f"--threads must be at least 1, got {args.threads}")
-    return args.threads
 
 
 def _dump_json(obj, out) -> None:
@@ -110,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("n", type=int)
     p_table.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p_table.add_argument("--out", default=None)
-    p_table.add_argument("--threads", type=int, default=None)
+    p_table.add_argument("--threads", type=int, help="at least 1; changes nothing")
 
     p_reduce = sub.add_parser("reduce", help="combine equal parts to the fixpoint")
     _add_partition_arg(p_reduce, "--mu", "mu")
@@ -147,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_density.add_argument("--mod", type=int, required=True)
     s_density.add_argument("--format", choices=("csv", "json"), default="json")
     s_density.add_argument("--out", default=None)
-    s_density.add_argument("--threads", type=int, default=None)
+    s_density.add_argument("--threads", type=int, help="at least 1; changes nothing")
 
     s_tcores = st.add_parser("tcores")
     s_tcores.add_argument("--n", type=int, required=True)
@@ -196,7 +193,8 @@ def _cmd_chi(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    table = characters.build_table(args.n, threads=_threads(args))
+    _check_threads(args)
+    table = characters.build_table(args.n)
     if args.format == "csv":
         characters.write_table_csv(table, out)
     elif args.format == "json":
@@ -269,7 +267,8 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_stats(args, out) -> int:
     if args.stat == "density":
-        rep = stats.density_report(args.n, args.mod, threads=_threads(args))
+        _check_threads(args)
+        rep = stats.density_report(args.n, args.mod)
         _write_record(rep.as_dict(), args.format, out)
         return 0
     if args.stat == "tcores":

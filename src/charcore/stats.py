@@ -48,13 +48,13 @@ class DensityReport:
 
 
 def density_report(
-    n: int, k: int, threads: int = 1, table: CharacterTable | None = None
+    n: int, k: int, table: CharacterTable | None = None
 ) -> DensityReport:
     """Scan the full table at size n; zero entries count as divisible."""
     if k < 1:
         raise ValueError("modulus must be positive")
     if table is None:
-        table = build_table(n, threads=threads)
+        table = build_table(n)
     divisible = zero = pos = neg = 0
     for row in table.rows:
         for v in row:

@@ -1,21 +1,18 @@
-"""Skew shapes, standard Young tableau counts, and Littlewood-Richardson coefficients."""
+"""Skew shapes and standard Young tableau counts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .errors import SizeCapError
 from .partitions import (
     Partition,
     _beta_numbers,
     check_partition,
     format_partition,
-    partitions_of,
 )
 
-LR_VERIFICATION_CAP = 9
 # count_skew_syt's memo for the life of the process: its callers ask about the
 # same small shapes again and again; a lemma81 sweep keeps a memo of its own
 _SKEW_COUNTS: dict = {}
@@ -156,83 +153,6 @@ def _degree_of_betas(betas) -> int:
         for a in betas[:j]:
             num *= b - a
     return num // den
-
-
-def lr_coefficient(outer, inner, content) -> int:
-    """Littlewood-Richardson coefficient c^outer_{inner, content}.
-
-    Counts semistandard fillings of outer/inner with the given content whose
-    reverse reading word (rows top to bottom, each read right to left) is a
-    lattice word.  Zero when the sizes mismatch or inner is not contained in
-    outer.
-    """
-    outer = check_partition(outer)
-    inner = check_partition(inner)
-    content = check_partition(content)
-    if sum(outer) != sum(inner) + sum(content):
-        return 0
-    try:
-        shape = SkewShape(outer, inner)
-    except ValueError:  # inner is not contained in outer
-        return 0
-    if shape.size == 0:
-        return 1 if not content else 0
-
-    spans = shape.row_spans()
-    # cells in reverse-reading order: rows top to bottom, right to left
-    order = [(r, c) for r, (s, e) in enumerate(spans) for c in range(e - 1, s - 1, -1)]
-    ncolors = len(content)
-    remaining = list(content)
-    counts = [0] * (ncolors + 1)  # counts[0] is a sentinel ceiling
-    counts[0] = shape.size
-    fill: dict[tuple[int, int], int] = {}
-
-    def place(k: int) -> int:
-        if k == len(order):
-            return 1
-        r, c = order[k]
-        right = fill.get((r, c + 1))
-        above = fill.get((r - 1, c))
-        lo = 1 if above is None else above + 1
-        hi = ncolors if right is None else right
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0 or counts[v] + 1 > counts[v - 1]:
-                continue
-            fill[(r, c)] = v
-            remaining[v - 1] -= 1
-            counts[v] += 1
-            total += place(k + 1)
-            counts[v] -= 1
-            remaining[v - 1] += 1
-            del fill[(r, c)]
-        return total
-
-    return place(0)
-
-
-class LrExpansion(NamedTuple):
-    ok: bool
-    direct: int
-    expansion: int
-
-
-def verify_lr_expansion(shape: SkewShape) -> LrExpansion:
-    """Check that the skew count equals the weighted sum of straight-shape counts.
-
-    Both sides are returned so a failure carries its witness.
-    """
-    k = shape.size
-    if k > LR_VERIFICATION_CAP:
-        raise SizeCapError(
-            f"verification capped at size {LR_VERIFICATION_CAP}, got {k}"
-        )
-    direct = count_skew_syt(shape)
-    expansion = sum(
-        count_syt(nu) * lr_coefficient(shape.outer, shape.inner, nu)
-        for nu in partitions_of(k)
-    )
-    return LrExpansion(direct == expansion, direct, expansion)
 
 
 def _box_spans(

@@ -23,7 +23,8 @@ from charcore.divisibility import (
 )
 from charcore.partitions import hook_lengths, partition_count, partitions_of
 from charcore.stats import count_non_tcores, density_report, ppower_difference_check
-from charcore.tableaux import count_syt, iter_box_skews, verify_lr_expansion
+from charcore.tableaux import count_syt, iter_box_skews
+from oracles import verify_lr_expansion
 
 
 @contextmanager

@@ -1,11 +1,9 @@
-import concurrent.futures
 import functools
 import io
 import json
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,47 +344,6 @@ class TestTable:
         build_table(9)
         # the transfer lists reach every size below 9 through the class 1^9
         assert sorted(calls) == sorted(lam for k in range(10) for lam in partitions_of(k))
-
-    def test_threads_bit_identical(self, tables):
-        assert build_table(10, threads=2) == tables.get(10)
-
-    def test_pool_from_its_threshold_is_bit_identical(self, monkeypatch):
-        started = []
-
-        class Counted(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        n = characters.POOL_FROM
-        build_table(n - 1, threads=2)
-        assert started == []
-        serial = build_table(n)
-        for threads in (2, 4):
-            assert build_table(n, threads=threads) == serial
-        assert started == [2, 4]
-
-    def test_threads_above_the_cap_start_no_pool(self, monkeypatch):
-        started = []
-
-        class Refused(Exception):
-            pass
-
-        def recorded(max_workers):
-            started.append(max_workers)
-            raise Refused
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
-        n = characters.POOL_FROM
-        for threads in (characters.THREADS_CAP + 1, 10**8):
-            with pytest.raises(SizeCapError, match=f"got {threads}"):
-                build_table(n, threads=threads)
-        assert started == []
-        for threads in (2, 4, 8, characters.THREADS_CAP):
-            with pytest.raises(Refused):
-                build_table(n, threads=threads)
-        assert started == [2, 4, 8, characters.THREADS_CAP]
 
 
 class TestOrthogonality:

@@ -14,10 +14,14 @@ from charcore.tableaux import (
     count_syt,
     is_border_strip,
     iter_box_skews,
+)
+from oracles import (
+    aitken_count,
+    brute_skew_syt,
+    connected_components,
     lr_coefficient,
     verify_lr_expansion,
 )
-from oracles import aitken_count, brute_skew_syt, connected_components
 
 
 def all_subdiagrams(outer, size_drop):
