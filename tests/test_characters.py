@@ -1,4 +1,5 @@
 import functools
+import inspect
 import io
 import json
 import math
@@ -332,6 +333,10 @@ class TestTable:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             build_table(27)
+
+    def test_build_table_takes_only_n(self):
+        # every table is built in one process, so there is no worker count
+        assert list(inspect.signature(build_table).parameters) == ["n"]
 
     def test_rows_encoded_once_per_size(self, monkeypatch, cold_characters):
         encode, calls = characters.from_partition, []

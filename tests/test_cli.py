@@ -576,12 +576,30 @@ class TestDeterminism:
                 "csv",
                 "64c17613cf9df21f6c66e73bb89ac78fef2a5cfaba9db71249a83769d93a78c8",
             ),
+            (
+                "24",
+                "json",
+                "7a120aa3b3975f10dc656bc6250e19934e16e359303907cefe981f7b676f6fad",
+            ),
         ],
     )
     def test_table_output_is_frozen(self, n, fmt, digest):
         # orthogonality is checked only up to n = 14, so whole tables past it
         # are pinned here
         res = run_cli("table", n, "--format", fmt, "--threads", "1")
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "mod, digest",
+        [
+            ("2", "5ff1f54136fb8207459a949343b79de9350c0223ca67dceddb937684f81fd50b"),
+            ("3", "47c7a754aa75e885a4c63bac9d2cb20460cbc83e04116310279670b56538df13"),
+        ],
+    )
+    def test_density_output_is_frozen(self, mod, digest):
+        # --threads is accepted on stats density and changes no byte
+        res = run_cli("stats", "density", "--n", "22", "--mod", mod, "--threads", "2")
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import mpmath
@@ -54,6 +55,9 @@ class TestDensity:
     def test_modulus_validation(self, tables):
         with pytest.raises(ValueError):
             density_report(3, 0, table=tables.get(3))
+
+    def test_takes_no_thread_count(self):
+        assert list(inspect.signature(density_report).parameters) == ["n", "k", "table"]
 
 
 class TestNonTCores:
