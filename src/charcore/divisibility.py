@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import factorial, isqrt, prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -143,45 +143,78 @@ class ReductionStep:
     after: int
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    input: Partition
-    output: Partition
-    steps: tuple[ReductionStep, ...]
+def _carry_classes(
+    counts: dict[int, int], cfg: CombineConfig
+) -> list[tuple[int, list[int]]]:
+    """Carry `counts` (size -> multiplicity) to the fixpoint, in place.
 
-
-def reduce_partition(mu, cfg: CombineConfig) -> ReductionTrace:
-    """Iterate combine_step to its fixpoint, recording every application.
-
-    Each p-free class holding a size with at least p**r parts is carried once,
-    in increasing order of its base b, upward from b (b, p*b, p**2*b, ...; a
-    level holding fewer than p**r parts carries nothing), and leaves every
-    count of the class below p**r.  The fixpoint does not depend on the
-    rewrite order; steps are listed by p-free class, then level.
+    Each p-free class holding a size with at least p**r parts is carried
+    once, upward from its base b (b, p*b, p**2*b, ...), by `_carry_pass`, and
+    every count of the class is left below p**r.  Returns (b, carried) per
+    such class in increasing order of b, where carried[j] is the count of
+    size p**j * b once the carries from below have arrived.  The fixpoint
+    does not depend on the rewrite order.
     """
-    mu = check_partition(mu)
     p, q = cfg.p, cfg.q
-    counts = multiplicities(mu)
     bases = set()
     for m, a in counts.items():
         if a >= q:
             while m % p == 0:
                 m //= p
             bases.add(m)
-    steps: list[ReductionStep] = []
+    top = max(counts, default=0)
+    classes = []
     for base in sorted(bases):
         levels, part = [], base
-        while part <= mu[0]:
+        while part <= top:
             levels.append(counts.get(part, 0))
             part *= p
+        carried = _carry_pass(levels, p, cfg.r)
         part = base
-        for c in _carry_pass(levels, p, cfg.r):
-            steps += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
+        for c in carried:
             counts[part] = c % q
             part *= p
+        classes.append((base, carried))
+    return classes
+
+
+@dataclass(frozen=True)
+class ReductionTrace:
+    """A class mu, its fixpoint under the combining rewrite, and the config.
+
+    `steps` lists every application of `combine_step`, by p-free class, then
+    level; it is built on first read and kept on the trace.
+    """
+
+    input: Partition
+    output: Partition
+    cfg: CombineConfig
+
+    @cached_property
+    def steps(self) -> tuple[ReductionStep, ...]:
+        q, p = self.cfg.q, self.cfg.p
+        steps: list[ReductionStep] = []
+        for part, carried in _carry_classes(multiplicities(self.input), self.cfg):
+            for c in carried:
+                steps += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
+                part *= p
+        return tuple(steps)
+
+
+def reduce_partition(mu, cfg: CombineConfig) -> ReductionTrace:
+    """Iterate combine_step to its fixpoint; returns (input, output, cfg).
+
+    Only the fixpoint is computed, on multiplicities (`_carry_classes`); a
+    class with no size of at least p**r parts is its own output.  The
+    trace's `steps` are built on first read.
+    """
+    mu = check_partition(mu)
+    counts = multiplicities(mu)
+    if not _carry_classes(counts, cfg):
+        return ReductionTrace(mu, mu, cfg)
     out = from_multiplicities(counts)
     assert sum(out) == sum(mu)
-    return ReductionTrace(mu, out, tuple(steps))
+    return ReductionTrace(mu, out, cfg)
 
 
 @dataclass

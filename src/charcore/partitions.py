@@ -11,7 +11,7 @@ import random
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain
-from operator import lt
+from operator import getitem, lt, sub
 from typing import Iterator, Mapping
 
 from .errors import FormatError, SizeCapError
@@ -155,32 +155,35 @@ def from_multiplicities(mult: Mapping[int, int]) -> Partition:
     return tuple(parts)
 
 
-_bounded: list[list[int]] = [[1]]
+_bounded: list[tuple[int, ...]] = [(1,)]
 _pprefix = [0]  # _pprefix[t] = p(0) + ... + p(t - 1)
 
 
-def _bounded_counts(n: int) -> list[list[int]]:
+def _bounded_counts(n: int) -> list[tuple[int, ...]]:
     """Rows 0..n of `_bounded`, and `_pprefix` up to t = n.  Row k holds entry
     m for m <= k // 2 only: the partitions of k into parts <= m.  Past k // 2,
     a partition of k with a part j > m is j plus any partition of k - j, so
     they number _pprefix[k - m] and the entry is p(k) minus that
-    (`_bounded_entry`).  Quadratic in n: a process holding it is about 72 MB
-    at n = 2000, 157 MB at 3000."""
+    (`_bounded_entry`).  Each row is an exact-size tuple filled in C-level
+    passes.  Quadratic in n: a process holding it is about 69 MB at n = 2000,
+    155 MB at 3000."""
     partition_count(n)
     while len(_pprefix) <= n:
         _pprefix.append(_pprefix[-1] + _pcount[len(_pprefix) - 1])
     while len(_bounded) <= n:
         k = len(_bounded)
-        # partitions of k with largest part j, stored for 3j <= k
+        third, half = k // 3, k // 2
+        # partitions of k with largest part j: row k - j's entry j for 3j <= k,
+        # else p(k - j) - _pprefix[k - 2j], for j = 1, ..., k // 2
         terms = chain(
-            (_bounded[k - j][j] for j in range(1, k // 3 + 1)),
-            (
-                _pcount[k - j] - _pprefix[k - 2 * j]
-                for j in range(k // 3 + 1, k // 2 + 1)
+            map(getitem, _bounded[k - 1 : k - third - 1 : -1], range(1, third + 1)),
+            map(
+                sub,
+                reversed(_pcount[k - half : k - third]),
+                reversed(_pprefix[k % 2 : k - 2 * third - 1 : 2]),
             ),
         )
-        # the copy is exact-size; the list that accumulate fills over-allocates
-        _bounded.append(list(accumulate(terms, initial=0))[:])
+        _bounded.append(tuple(accumulate(terms, initial=0)))
     return _bounded
 
 

@@ -14,20 +14,23 @@ from dataclasses import asdict, dataclass, field
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
-from .abacus import is_tcore
 from .characters import CharacterTable, build_table
-from .divisibility import CombineConfig, check_power, check_prime, reduce_partition
+from .divisibility import CombineConfig, _carry_classes, check_power, check_prime
 from .errors import RangeError, SizeCapError
 from .partitions import (
+    ENUMERATION_CAP,
     multiplicities,
     partition_count,
-    partitions_of,
     sample_seed,
     sample_uniform,
 )
 
 PPOWER_CAP = 10**5
 RESTRICTED_CAP = 2000
+# prop4 refuses more samples before any work: at the sampling cap n = 5000,
+# 100,000 samples took 65 s and 434 MB peak RSS on the CLI (2-vCPU x86-64,
+# Python 3.11), about 0.65 ms a sample after a 2 s table build
+PROP4_SAMPLES_CAP = 100_000
 DELTA_DPS = 30  # significant digits of the reported Delta
 
 
@@ -74,10 +77,27 @@ def density_report(
 
 
 def count_non_tcores(n: int, t: int) -> int:
-    """Exact number of partitions of n having some hook of length t."""
+    """Exact number of partitions of n having some hook of length t.
+
+    That is p(n) minus the number c_t(n) of t-cores of n, the coefficient of
+    x**n in prod_k (1 - x**(t*k))**t / (1 - x**k) (Garvan, Kim and Stanton,
+    "Cranks and t-cores", 1990): the series of p is multiplied by t factors
+    (1 - x**w) for each multiple w of t up to n, O(n**2) integer steps.  n
+    stays capped at ENUMERATION_CAP.  Tested against the enumeration
+    `non_tcore_counts` in `tests/oracles.py`.
+    """
     if t < 1:
         raise ValueError("t must be positive")
-    count = sum(1 for lam in partitions_of(n) if not is_tcore(lam, t))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > ENUMERATION_CAP:
+        raise SizeCapError(f"enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
+    cores = [partition_count(k) for k in range(n + 1)]
+    for w in range(t, n + 1, t):
+        for _ in range(t):
+            for k in range(n, w - 1, -1):
+                cores[k] -= cores[k - w]
+    count = partition_count(n) - cores[n]
     # strip-removal bound; cannot fail, kept as a tripwire
     assert count <= non_tcore_bound(n, t)
     return count
@@ -283,6 +303,10 @@ def prop4_empirical(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > PROP4_SAMPLES_CAP:
+        raise SizeCapError(
+            f"prop4 capped at samples <= {PROP4_SAMPLES_CAP}, got {samples}"
+        )
     reps = cfg.p ** (cfg.r - 1)
     # smallest part size whose scaled value rigorously clears the threshold
     approx = prop4_threshold(n, cfg)
@@ -291,13 +315,9 @@ def prop4_empirical(
         m_min += 1
     holds = 0
     for i in range(samples):
-        mu = sample_uniform(n, sample_seed(rng_seed, i))
-        reduced = reduce_partition(mu, cfg).output
-        big = sum(
-            1
-            for m, a in multiplicities(reduced).items()
-            if a >= reps and m >= m_min
-        )
+        counts = multiplicities(sample_uniform(n, sample_seed(rng_seed, i)))
+        _carry_classes(counts, cfg)  # the reduction's multiplicities, in place
+        big = sum(1 for m, a in counts.items() if a >= reps and m >= m_min)
         if big >= cfg.r:
             holds += 1
     fails = samples - holds

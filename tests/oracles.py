@@ -357,13 +357,14 @@ def random_order_reduce(mu, cfg, rng):
 
 
 def reduce_class_by_class(mu, cfg):
-    """`reduce_partition` one p-free class at a time, lowest class first.
+    """`reduce_partition` one p-free class at a time, lowest class first, as
+    (output, steps).
 
     Every class present is read from its p-free part upward and carried with
     `_carry_pass`, whether or not any of its levels can carry; the steps come
     out by class, then level.
     """
-    from charcore.divisibility import ReductionStep, ReductionTrace, _carry_pass
+    from charcore.divisibility import ReductionStep, _carry_pass
     from charcore.partitions import from_multiplicities, multiplicities
 
     mu = tuple(mu)
@@ -387,7 +388,21 @@ def reduce_class_by_class(mu, cfg):
             if c % q:
                 final[part] = c % q
             part *= p
-    return ReductionTrace(mu, from_multiplicities(final), tuple(steps))
+    return from_multiplicities(final), tuple(steps)
+
+
+def non_tcore_counts(n):
+    """{t: number of partitions of n with a hook of length t}, by listing every
+    partition of n (`naive_partitions`) and the hook lengths of its diagram."""
+    counts = {}
+    for lam in naive_partitions(n):
+        conj = [sum(1 for row in lam if row > c) for c in range(lam[0] if lam else 0)]
+        hooks = {
+            row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)
+        }
+        for h in hooks:
+            counts[h] = counts.get(h, 0) + 1
+    return counts
 
 
 _reference_rows = [[1]]

@@ -279,6 +279,49 @@ class TestExitCodes:
         assert target.read_text() == "keep\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            ("61", "charcore: error: enumeration capped at n <= 60, got 61\n"),
+            ("-1", "charcore: error: n must be nonnegative\n"),
+        ],
+    )
+    def test_tcores_size_errors_are_one_line_usage_errors(self, n, message):
+        res = run_cli("stats", "tcores", "--n", n, "--t", "5")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == message
+
+    def test_prop4_samples_cap_writes_nothing(self, tmp_path):
+        # prop4 has no --out; its stdout goes to a file that must stay as it was
+        target = tmp_path / "p.json"
+        target.write_text("keep\n")
+        argv = ["stats", "prop4", "--n", "5000", "--p", "2", "--r", "2",
+                "--samples", "100000000", "--seed", "1"]
+        with open(target, "a") as out:
+            res = subprocess.run(
+                BASE + argv, stdout=out, stderr=subprocess.PIPE, text=True, timeout=300
+            )
+        assert res.returncode == 2
+        assert res.stderr == (
+            "charcore: error: prop4 capped at samples <= 100000, got 100000000\n"
+        )
+        assert target.read_text() == "keep\n"
+
+    def test_prop4_samples_cap_acts_before_any_work(self, monkeypatch, capsys):
+        from charcore import cli, stats
+
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        for name in ("prop4_threshold", "sample_uniform"):
+            monkeypatch.setattr(stats, name, refuse)
+        argv = ["stats", "prop4", "--n", "5000", "--p", "2", "--r", "2",
+                "--samples", "100001", "--seed", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "charcore: error: prop4 capped at samples <= 100000, got 100001\n"
+        )
+
     def test_out_replaces_existing_file(self, tmp_path):
         target = tmp_path / "t.csv"
         target.write_text("old\n")
@@ -485,6 +528,10 @@ class TestDeterminism:
             (
                 ("stats", "tcores", "--n", "40", "--t", "5"),
                 "1a3a01f62edb3eb90a199d5cd3809fe09df9772790f2eabefe4c2c25a58a186e",
+            ),
+            (
+                ("stats", "tcores", "--n", "50", "--t", "7"),
+                "58731dec0dd5fdc28a516e9e52862edb7029209e8b5c3d9dc613bf85a2bcc12d",
             ),
             (
                 ("verify", "lemma62", "--n", "24", "--m", "2", "--p", "2", "--r", "3"),

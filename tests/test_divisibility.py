@@ -142,19 +142,55 @@ class TestReduce:
             (8, 7, 3),
             (3, 4, 0),
         ]
-        assert trace == reduce_class_by_class(mu, CombineConfig(2, 2))
+        assert (trace.output, trace.steps) == reduce_class_by_class(
+            mu, CombineConfig(2, 2)
+        )
 
     def test_matches_class_by_class_oracle_exhaustive(self):
         # r = 1 (q = p) makes the most classes carry
         for cfg in CFGS + ONE_LEVEL_CFGS:
             for n in range(19):
                 for mu in partitions_of(n):
-                    assert reduce_partition(mu, cfg) == reduce_class_by_class(mu, cfg)
+                    trace = reduce_partition(mu, cfg)
+                    expect = reduce_class_by_class(mu, cfg)
+                    assert (trace.output, trace.steps) == expect
 
     @settings(max_examples=300, deadline=None)
     @given(heavy_partitions(300), st.sampled_from(CFGS + ONE_LEVEL_CFGS))
     def test_matches_class_by_class_oracle_property(self, mu, cfg):
-        assert reduce_partition(mu, cfg) == reduce_class_by_class(mu, cfg)
+        trace = reduce_partition(mu, cfg)
+        assert (trace.output, trace.steps) == reduce_class_by_class(mu, cfg)
+
+    def test_output_alone_builds_no_steps(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ReductionStep was built")
+
+        monkeypatch.setattr(divisibility, "ReductionStep", refuse)
+        trace = reduce_partition((8,) * 7 + (3,) * 4 + (1,) * 5, CombineConfig(2, 2))
+        assert trace.output == (16, 16, 8, 8, 8, 6, 6, 2, 2, 1)
+        assert "steps" not in vars(trace)
+
+    def test_steps_are_built_once(self):
+        trace = reduce_partition((1,) * 8, CombineConfig(2, 2))
+        first = trace.steps
+        assert "steps" in vars(trace)
+        assert trace.steps is first
+        assert len(first) == 3
+
+    def test_carry_free_class_is_its_own_output(self):
+        mu = (5, 5, 5, 3, 1)
+        trace = reduce_partition(mu, CombineConfig(2, 2))
+        assert trace.output is trace.input
+        assert trace.steps == ()
+
+    def test_same_class_under_two_configs_gives_unequal_traces(self):
+        # neither config carries, so only the recorded config tells them apart
+        mu = (2, 2, 1, 1, 1, 1)
+        one = reduce_partition(mu, CombineConfig(5, 1))
+        two = reduce_partition(mu, CombineConfig(7, 1))
+        assert one.output == two.output == mu
+        assert one != two
+        assert one.cfg == CombineConfig(5, 1)
 
     def test_fixpoint_untouched(self):
         cfg = CombineConfig(2, 2)

@@ -30,6 +30,7 @@ from oracles import (
     brute_restricted_count,
     delta_series_terms,
     fp_series,
+    non_tcore_counts,
 )
 
 
@@ -74,6 +75,20 @@ class TestNonTCores:
         assert direct == 6
         assert count_non_tcores(5, 3) == 6
         assert 6 <= 4 * partition_count(2)
+
+    def test_generating_function_matches_enumeration(self):
+        for n in range(41):
+            counts = non_tcore_counts(n)
+            for t in range(1, n + 3):
+                assert count_non_tcores(n, t) == counts.get(t, 0), (n, t)
+
+    def test_size_errors(self):
+        with pytest.raises(ValueError, match="t must be positive"):
+            count_non_tcores(5, 0)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            count_non_tcores(-1, 3)
+        with pytest.raises(SizeCapError, match="enumeration capped at n <= 60, got 61"):
+            count_non_tcores(61, 3)
 
     def test_bound_window(self):
         for n in range(1, 18):
