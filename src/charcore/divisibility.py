@@ -38,9 +38,7 @@ from .partitions import (
 )
 from .tableaux import (
     _box_class_count,
-    _box_spans,
-    _count_rows,
-    _is_strip,
+    _box_classes,
     _skew_count,
     _spans_shape,
 )
@@ -692,7 +690,8 @@ def verify_lemma81(box: int, cfg: CombineConfig) -> VerifyReport:
 
     Sweeps one representative per translation class; counts and strip status
     depend only on the class.  The classes of at most p**r cells in the box
-    bound the sweep's own count memo, and are capped at LEMMA81_CAP.
+    bound the sweep's time, and are capped at LEMMA81_CAP; the sweep's own
+    count memo holds connected shapes only.
     """
     size = cfg.q
     if box > LEMMA81_BOX_CAP:
@@ -704,12 +703,10 @@ def verify_lemma81(box: int, cfg: CombineConfig) -> VerifyReport:
             f"{cfg.p}**{cfg.r}, got at least {classes} in box {box}"
         )
     report = VerifyReport("lemma81", {"box": box, "p": cfg.p, "r": cfg.r})
-    memo: dict = {}
-    for spans in _box_spans(box, box, size):
-        if _is_strip(spans):
+    for spans, f in _box_classes(box, box, size, {}):
+        if f is None:
             report.skipped += 1
             continue
-        f = _count_rows(spans, memo)
         report.check(
             f % cfg.p == 0,
             lambda: {"shape": str(_spans_shape(spans)), "count": str(f), "p": cfg.p},

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 from typing import Iterator
 
 from .partitions import (
@@ -14,7 +14,8 @@ from .partitions import (
 )
 
 # count_skew_syt's memo for the life of the process: its callers ask about the
-# same small shapes again and again; a lemma81 sweep keeps a memo of its own
+# same small shapes again and again; it holds connected shapes only (see
+# `_count_rows`), and a lemma81 sweep keeps a memo of its own
 _SKEW_COUNTS: dict = {}
 
 
@@ -56,20 +57,16 @@ def _row_spans(outer: Partition, inner: Partition) -> tuple[tuple[int, int], ...
 
 
 def is_border_strip(shape: SkewShape) -> bool:
-    """True iff the skew diagram is edge-connected and free of 2x2 blocks."""
-    if shape.size == 0:
-        raise ValueError("empty skew shape has no border-strip status")
-    return _is_strip([(s, e) for s, e in shape.row_spans() if e > s])
-
-
-def _is_strip(rows) -> bool:
-    """Border-strip test on the nonempty row spans of a skew diagram.
+    """True iff the skew diagram is edge-connected and free of 2x2 blocks.
 
     Starts and ends of a skew diagram's rows never increase downward, so a row
     [s, e) and the next nonempty row [s2, e2) share the columns [s, e2): each
     pair must share exactly one.  Rows with an empty row between them share
     none, so this also makes the nonempty rows consecutive.
     """
+    if shape.size == 0:
+        raise ValueError("empty skew shape has no border-strip status")
+    rows = [(s, e) for s, e in shape.row_spans() if e > s]
     return all(e2 - s == 1 for (s, _), (_, e2) in zip(rows, rows[1:]))
 
 
@@ -91,26 +88,35 @@ def _retrim(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
 def _count_rows(rows: tuple[tuple[int, int], ...], memo: dict) -> int:
     """Standard fillings of the canonical row spans `rows` (see `_retrim`).
 
-    `memo` maps the span tuples counted so far to their counts, and lives as
-    long as the caller keeps it.  Every child passed down is canonical too: a
-    shrunk row keeps its start, and since starts never increase downward, a
-    row that empties can hold column 0 alone only when it is the last row.
+    At the first row that shares no column with the row below it the shape
+    splits: the rows down to it, shifted to column 0, and the rest fill
+    independently, their k and n - k entries interleaved in C(n, k) ways.  So
+    only connected span tuples enter `memo`, which maps them to their counts
+    and lives as long as the caller keeps it.  In a connected shape a row of
+    one cell is a corner only when it is the last, which holds column 0, so
+    every child passed down is canonical too.
     """
     if not rows:
         return 1
     total = memo.get(rows)
     if total is not None:
         return total
-    total = 0
     last = len(rows) - 1
+    for i in range(last):
+        c0 = rows[i][0]
+        if rows[i + 1][1] <= c0:
+            top = tuple((s - c0, e - c0) for s, e in rows[: i + 1])
+            k = sum(e - s for s, e in top)
+            rest = rows[i + 1 :]
+            n = k + sum(e - s for s, e in rest)
+            return comb(n, k) * _count_rows(top, memo) * _count_rows(rest, memo)
+    total = 0
     for i, (s, e) in enumerate(rows):
         # cell (i, e-1) can hold the largest entry iff nothing sits below it
         if i < last and rows[i + 1][1] >= e:
             continue
         if e - s > 1:
             child = rows[:i] + ((s, e - 1),) + rows[i + 1 :]
-        elif s:
-            child = rows[:i] + rows[i + 1 :]
         else:
             c0 = rows[i - 1][0] if i else 0
             child = tuple((a - c0, b - c0) for a, b in rows[:i])
@@ -155,40 +161,76 @@ def _degree_of_betas(betas) -> int:
     return num // den
 
 
-def _box_spans(
-    rows: int, cols: int, size: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Canonical row spans of every translation class of `size` cells in a box.
+def _box_classes(
+    rows: int, cols: int, size: int, memo: dict | None = None
+) -> Iterator[tuple[tuple[tuple[int, int], ...], int | None]]:
+    """(spans, f) for every translation class of `size` cells in a box.
 
-    Each tuple has no empty row and its leftmost cell in column 0, so it is a
-    `_count_rows` key as it stands.  Starts and ends never increase downward,
-    so the last row holds the leftmost cell.
+    `spans` are the class's canonical row spans: no empty row and the leftmost
+    cell in column 0, so a `_count_rows` key as it stands.  Starts and ends
+    never increase downward, so the last row holds the leftmost cell.  Given a
+    `memo` for `_count_rows`, f is the class's filling count, or None for a
+    border strip; without one, f is None throughout.
+
+    The walk appends rows top to bottom.  A row that shares no column with
+    the row above closes the open connected component, and the walk carries
+    the product of the closed ones, each times the binomial that interleaves
+    its entries with those above it; a class then costs one count of its last
+    component.  It also carries whether the rows so far form a border strip.
     """
     if size < 1:
         raise ValueError("size must be positive")
     if rows < 1:
         return
 
-    def build(spans: tuple[tuple[int, int], ...], left: int):
+    def build(spans, left, memo, closed, start, before, strip):
+        # `closed` counts spans[:start], the components above the open one,
+        # which hold `before` cells
         max_s, max_e = spans[-1] if spans else (cols, cols)
+        used = size - left
+        shut = None
         for e in range(min(max_e, max_s + left), 0, -1):
+            if e > max_s:  # shares columns [max_s, e) with the row above
+                head, st, cells = closed, start, before
+                strip_e = strip and e - max_s == 1
+            else:  # a gap, or the first row, opens a component
+                if shut is None and memo is not None:
+                    top = tuple((a - max_s, z - max_s) for a, z in spans[start:])
+                    shut = closed * comb(used, used - before) * _count_rows(top, memo)
+                head, st, cells = shut, len(spans), used
+                strip_e = not spans
             for s in range(min(e - 1, max_s), max(e - left, 0) - 1, -1):
                 grown = spans + ((s, e),)
                 if e - s == left:
                     if s == 0:
-                        yield grown
+                        if strip_e or memo is None:
+                            yield grown, None
+                        else:
+                            last = _count_rows(grown[st:], memo)
+                            yield grown, head * comb(size, size - cells) * last
                 elif len(grown) < rows:
-                    yield from build(grown, left - (e - s))
+                    yield from build(
+                        grown, left - (e - s), memo, head, st, cells, strip_e
+                    )
 
-    yield from build((), size)
+    # memo is passed down, not closed over: the self-referencing `build`
+    # closure is a cycle that outlives the walk until the collector runs
+    yield from build((), size, memo, 1, 0, 0, True)
+
+
+def _box_spans(
+    rows: int, cols: int, size: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The canonical row spans of `_box_classes`, without counts."""
+    return (spans for spans, _ in _box_classes(rows, cols, size))
 
 
 def _box_class_count(rows: int, cols: int, size: int, cap: int) -> int:
     """Translation classes of 1..size cells in a rows x cols box, or a bound past `cap`.
 
-    Every `_count_rows` key that a sweep of `_box_spans(rows, cols, size)`
-    reaches, but the empty one, is the span tuple of such a class, so this
-    bounds the memo.  When the classes of single-cell rows stepping left
+    A sweep of `_box_classes(rows, cols, size)` visits the classes of `size`
+    cells, so this bounds its time; its memo holds only connected classes of
+    at most `size` cells.  When the classes of single-cell rows stepping left
     already outnumber `cap`, their count is returned instead.
     """
     size = min(size, rows * cols)

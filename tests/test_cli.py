@@ -583,6 +583,13 @@ class TestDeterminism:
                 ),
                 "652091c332fe6c6db33b08dcd8fb7ed7e2de9e9ee5ab0ebb69fc3c1a72e83d6e",
             ),
+            (
+                (
+                    "verify", "lemma81", "--n", "12", "--p", "2", "--r", "3",
+                    "--format", "json",
+                ),
+                "daec44b23f9d2d180cb47c3eea5345109d98fa5dba085b27d3d1daffb20bbab6",
+            ),
         ],
     )
     def test_core_and_residue_output_is_frozen(self, args, digest):
@@ -590,7 +597,8 @@ class TestDeterminism:
         # five, the conjugate-row fill and the shared prop-pm1 columns the next
         # three, theorem 3's core test and the core-row walk the next four, the
         # hook-sequence counts of four removals per row the next two, and the
-        # lemma81 sweep on canonical row spans the last six
+        # lemma81 sweep on canonical row spans the last seven, the last of them
+        # a box where most classes split into components
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

@@ -713,42 +713,50 @@ class TestLemma81Sweep:
 
     def test_patched_violation_gives_the_same_witness(self, monkeypatch):
         import charcore.tableaux as tableaux
+        from charcore.tableaux import count_skew_syt, is_border_strip, iter_box_skews
 
         cfg = CombineConfig(2, 2)
-        classes = [s for s in tableaux._box_spans(6, 6, 4) if not tableaux._is_strip(s)]
-        target = classes[len(classes) // 2]
+        classes = [s for s in iter_box_skews(6, 6, 4) if not is_border_strip(s)]
+        # a connected class reaches the count whole, under its own span tuple
+        connected = [s for s in classes if len(oracles.connected_components(s)) == 1]
+        target = connected[len(connected) // 2]
+        key = tuple(target.row_spans())
         real = tableaux._count_rows
 
         def odd_at_target(rows, memo):
-            return real(rows, memo) + (rows == target)
+            return real(rows, memo) + (rows == key)
 
         monkeypatch.setattr(tableaux, "_count_rows", odd_at_target)
-        monkeypatch.setattr(divisibility, "_count_rows", odd_at_target)
         report = verify_lemma81(6, cfg)
         assert report.violated == 1
-        assert report.witness["shape"] == str(tableaux._spans_shape(target))
+        assert report.witness["shape"] == str(target)
         assert int(report.witness["count"]) % 2 == 1
-        assert report.as_dict() == lemma81_via_shapes(6, cfg).as_dict()
+        # the witness is the first class, in enumeration order, counted odd
+        odd = [s for s in classes if count_skew_syt(s) % 2]
+        assert odd[0] == target
 
     @staticmethod
     def _sweep_memos(monkeypatch, box, cfg):
         """The memo of every count call that verify_lemma81(box, cfg) makes."""
-        memos, real = [], divisibility._count_rows
+        import charcore.tableaux as tableaux
+
+        memos, real = [], tableaux._count_rows
 
         def spy(rows, memo):
             memos.append(memo)
             return real(rows, memo)
 
-        monkeypatch.setattr(divisibility, "_count_rows", spy)
+        monkeypatch.setattr(tableaux, "_count_rows", spy)
         verify_lemma81(box, cfg)
         return memos
 
-    def test_memo_stays_within_the_class_count(self, monkeypatch):
-        from charcore.tableaux import _box_class_count
+    def test_memo_holds_connected_shapes_only(self, monkeypatch):
+        from charcore.tableaux import _spans_shape
 
         memos = self._sweep_memos(monkeypatch, 7, CombineConfig(2, 3))
-        reached = len(memos[0])
-        assert reached <= _box_class_count(7, 7, 8, divisibility.LEMMA81_CAP)
+        assert memos[0]
+        for key in memos[0]:
+            assert len(oracles.connected_components(_spans_shape(key))) == 1, key
 
     def test_no_memo_entry_outlives_the_sweep(self, monkeypatch):
         import gc
@@ -781,7 +789,7 @@ class TestLemma81Sweep:
         def no_sweep(*args):
             raise AssertionError("swept past the cap")
 
-        monkeypatch.setattr(divisibility, "_box_spans", no_sweep)
+        monkeypatch.setattr(divisibility, "_box_classes", no_sweep)
         with pytest.raises(SizeCapError):
             verify_lemma81(box, CombineConfig(p, r))
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from charcore.errors import SizeCapError
 from charcore.partitions import partitions_of
 from charcore.tableaux import (
+    _SKEW_COUNTS,
     SkewShape,
     _box_class_count,
     _box_spans,
+    _spans_shape,
     count_skew_syt,
     count_syt,
     is_border_strip,
@@ -236,6 +238,14 @@ class TestComponents:
                 for c in comps:
                     predicted *= count_skew_syt(c)
                 assert count_skew_syt(shape) == predicted, str(shape)
+
+    def test_count_memo_holds_connected_shapes_only(self):
+        # a disconnected shape is counted from its components, never kept whole
+        for k in range(1, 9):
+            for shape in iter_box_skews(6, 6, k):
+                count_skew_syt(shape)
+        for key in _SKEW_COUNTS:
+            assert len(connected_components(_spans_shape(key))) == 1, key
 
 
 @pytest.mark.slow
