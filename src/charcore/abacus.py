@@ -240,12 +240,17 @@ def tcore(parts, t: int) -> Partition:
 
     Computed by pushing every bead of each runner as far down as it goes; the
     result is independent of the removal order.  Runner c then holds its k
-    beads at c, c + t, ..., c + t*(k-1).
+    beads at c, c + t, ..., c + t*(k-1).  No hook is longer than the largest
+    beta-number, so a larger t returns the partition as it is.
     """
     if t < 1:
         raise ValueError("t must be positive")
+    parts = check_partition(parts)
+    betas = _beta_numbers(parts)
+    if not betas or t > betas[-1]:
+        return parts
     counts = [0] * t
-    for b in _beta_numbers(check_partition(parts)):
+    for b in betas:
         counts[b % t] += 1
     return _bead_partition(
         sorted([i for c, k in enumerate(counts) for i in range(c, c + t * k, t)])

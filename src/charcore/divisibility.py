@@ -328,12 +328,13 @@ def _crossings(runners: list[list[int]]) -> int:
     """Parity of the bead pairs whose index order and runner order disagree.
 
     A bead at level x of runner c comes after a bead at level y of a later
-    runner iff y < x.
+    runner iff y < x.  Empty runners hold no pair, so only the others are read.
     """
+    held = [levels for levels in runners if levels]
     return sum(
         bisect_left(later, x)
-        for c, levels in enumerate(runners)
-        for later in runners[c + 1 :]
+        for c, levels in enumerate(held)
+        for later in held[c + 1 :]
         for x in levels
     ) & 1
 
@@ -355,17 +356,17 @@ def _multinomial(total: int, parts: Iterable[int]) -> int:
     return out
 
 
-def _predicted_count(lam, lam2, m: int, count: int):
+def _predicted_count(lam, lam2, m: int, count: int, memo: dict):
     """Ordered removals of `count` m-hooks from lam down to lam2, predicted.
 
     The count factors as a multinomial over residues times the per-residue
-    standard-filling counts; returns (prediction, multinomial, fillings, sizes).
+    filling counts, from `memo`; returns (prediction, multinomial, fillings, sizes).
     """
     skews = _residue_skews(_partition_mask(lam), _partition_mask(lam2), m)
     sizes = tuple(sum(outer) - sum(inner) for outer, inner in skews)
     assert sum(sizes) == count
     multinomial = _multinomial(count, sizes)
-    fillings = tuple(_skew_count(outer, inner) for outer, inner in skews)
+    fillings = tuple(_skew_count(outer, inner, memo) for outer, inner in skews)
     return multinomial * prod(fillings), multinomial, fillings, sizes
 
 
@@ -380,7 +381,7 @@ def verify_count_factorization(lam, lam2, m: int) -> FactorizationCheck:
             f"size difference {diff} is not a positive multiple of {m}"
         )
     count = diff // m
-    predicted, multinomial, fillings, sizes = _predicted_count(lam, lam2, m, count)
+    predicted, multinomial, fillings, sizes = _predicted_count(lam, lam2, m, count, {})
     direct = sum(enumerate_hook_sequences(lam, m, count).get(lam2, (0, 0)))
     return FactorizationCheck(
         direct == predicted, direct, predicted, multinomial, fillings, sizes
@@ -419,8 +420,9 @@ def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
 def verify_factorization(n: int, m: int, max_hooks: int = 4) -> VerifyReport:
     """Exhaust the counting identity over all reachable pairs at size n."""
     report = VerifyReport("factorization", {"n": n, "m": m, "max_hooks": max_hooks})
+    memo: dict = {}
     for lam, count, lam2, pair in _hook_groups(n, m, max_hooks):
-        predicted = _predicted_count(lam, lam2, m, count)[0]
+        predicted = _predicted_count(lam, lam2, m, count, memo)[0]
         report.check(
             sum(pair) == predicted,
             lambda: {

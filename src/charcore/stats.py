@@ -31,6 +31,9 @@ RESTRICTED_CAP = 2000
 # 100,000 samples took 65 s and 434 MB peak RSS on the CLI (2-vCPU x86-64,
 # Python 3.11), about 0.65 ms a sample after a 2 s table build
 PROP4_SAMPLES_CAP = 100_000
+# delta refuses a wider l window before listing it; at the cap a window took
+# 2.2-6.9 s at k_truncation <= 1024, 177 s at 32768 (see docs/formats.md)
+DELTA_WINDOW_CAP = 20_000
 DELTA_DPS = 30  # significant digits of the reported Delta
 
 
@@ -407,6 +410,10 @@ def lemma91_delta(
             )
         lo = int(mpmath.ceil(Lval))
         hi = int(mpmath.floor(Lval + x / scale))
+        if hi - lo > DELTA_WINDOW_CAP:
+            raise SizeCapError(
+                f"delta capped at an l window of {DELTA_WINDOW_CAP}, got {hi - lo}"
+            )
         ells = [l for l in range(lo, hi + 1) if l % cfg.p != 0]
         if not ells:
             raise RangeError("empty coprime window; n is too small for these parameters")

@@ -13,12 +13,6 @@ from .partitions import (
     format_partition,
 )
 
-# count_skew_syt's memo for the life of the process: its callers ask about the
-# same small shapes again and again; it holds connected shapes only (see
-# `_count_rows`), and a lemma81 sweep keeps a memo of its own
-_SKEW_COUNTS: dict = {}
-
-
 @dataclass(frozen=True)
 class SkewShape:
     """The boxes of `outer` not in `inner`, with diagram containment enforced."""
@@ -129,15 +123,15 @@ def count_skew_syt(shape: SkewShape) -> int:
     """Number of standard fillings of the skew diagram (1 for the empty shape).
 
     Entries 1..size increase left to right along rows and top to bottom down
-    columns.  Computed by corner-removal recursion, memoized on the
-    translation-canonical row spans.
+    columns.  Computed by corner-removal recursion, memoized for this call on
+    the translation-canonical row spans.
     """
-    return _skew_count(shape.outer, shape.inner)
+    return _skew_count(shape.outer, shape.inner, {})
 
 
-def _skew_count(outer: Partition, inner: Partition) -> int:
-    """`count_skew_syt` of outer/inner, for checked partitions with inner inside outer."""
-    return _count_rows(_retrim(_row_spans(outer, inner)), _SKEW_COUNTS)
+def _skew_count(outer: Partition, inner: Partition, memo: dict) -> int:
+    """`count_skew_syt` of checked outer/inner, inner inside outer, through `memo`."""
+    return _count_rows(_retrim(_row_spans(outer, inner)), memo)
 
 
 def count_syt(shape) -> int:
@@ -182,14 +176,23 @@ def _box_classes(
         raise ValueError("size must be positive")
     if rows < 1:
         return
-
-    def build(spans, left, memo, closed, start, before, strip):
-        # `closed` counts spans[:start], the components above the open one,
-        # which hold `before` cells
+    # partial classes (spans, cells left, count of the components spans[:start],
+    # start, cells in spans[:start], strip), children pushed last one first
+    stack = [((), size, 1, 0, 0, True)]
+    while stack:
+        spans, left, closed, start, before, strip = stack.pop()
+        if not left:
+            if strip or memo is None:
+                yield spans, None
+            else:
+                last = _count_rows(spans[start:], memo)
+                yield spans, closed * comb(size, size - before) * last
+            continue
         max_s, max_e = spans[-1] if spans else (cols, cols)
         used = size - left
+        deeper = len(spans) + 1 < rows
         shut = None
-        for e in range(min(max_e, max_s + left), 0, -1):
+        for e in range(1, min(max_e, max_s + left) + 1):
             if e > max_s:  # shares columns [max_s, e) with the row above
                 head, st, cells = closed, start, before
                 strip_e = strip and e - max_s == 1
@@ -199,30 +202,11 @@ def _box_classes(
                     shut = closed * comb(used, used - before) * _count_rows(top, memo)
                 head, st, cells = shut, len(spans), used
                 strip_e = not spans
-            for s in range(min(e - 1, max_s), max(e - left, 0) - 1, -1):
-                grown = spans + ((s, e),)
-                if e - s == left:
-                    if s == 0:
-                        if strip_e or memo is None:
-                            yield grown, None
-                        else:
-                            last = _count_rows(grown[st:], memo)
-                            yield grown, head * comb(size, size - cells) * last
-                elif len(grown) < rows:
-                    yield from build(
-                        grown, left - (e - s), memo, head, st, cells, strip_e
-                    )
-
-    # memo is passed down, not closed over: the self-referencing `build`
-    # closure is a cycle that outlives the walk until the collector runs
-    yield from build((), size, memo, 1, 0, 0, True)
-
-
-def _box_spans(
-    rows: int, cols: int, size: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The canonical row spans of `_box_classes`, without counts."""
-    return (spans for spans, _ in _box_classes(rows, cols, size))
+            for s in range(max(e - left, 0), min(e - 1, max_s) + 1):
+                rest = left - (e - s)
+                # a class ends in column 0, and a partial one needs a row to spare
+                if deeper if rest else not s:
+                    stack.append((spans + ((s, e),), rest, head, st, cells, strip_e))
 
 
 def _box_class_count(rows: int, cols: int, size: int, cap: int) -> int:
@@ -281,5 +265,5 @@ def iter_box_skews(rows: int, cols: int, size: int) -> Iterator[SkewShape]:
     in column 0.  Every skew shape fitting in the box canonicalizes to exactly
     one of these.
     """
-    for spans in _box_spans(rows, cols, size):
+    for spans, _ in _box_classes(rows, cols, size):
         yield _spans_shape(spans)

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import charcore.characters as characters
+import charcore.tableaux as tableaux
 from charcore.characters import build_table
 
 
@@ -57,3 +58,16 @@ def cold_characters():
     clear()
     yield
     clear()
+
+
+@pytest.fixture
+def count_memos(monkeypatch):
+    """The memo of every `tableaux._count_rows` call the test makes, in call order."""
+    memos, real = [], tableaux._count_rows
+
+    def spy(rows, memo):
+        memos.append(memo)
+        return real(rows, memo)
+
+    monkeypatch.setattr(tableaux, "_count_rows", spy)
+    return memos

@@ -38,6 +38,23 @@ class TestBasicCommands:
         data = json.loads(res.stdout)
         assert data["is_core"] is True and data["core"] == "[2,2]"
 
+    def test_core_past_the_largest_hook_returns_at_once(self, capsys):
+        # no hook of [5,3,1] is longer than 7, so t = 10**12 needs no work
+        from time import process_time
+
+        from charcore import cli
+
+        t = str(10**12)
+        start = process_time()
+        assert cli.main(["core", "--lambda", "[5,3,1]", "--t", t]) == 0
+        assert capsys.readouterr().out == "[5,3,1]\n"
+        argv = ["core", "--lambda", "[5,3,1]", "--t", t, "--format", "json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "lambda": "[5,3,1]", "t": 10**12, "core": "[5,3,1]", "is_core": True
+        }
+        assert process_time() - start < 1
+
     def test_sample_deterministic(self):
         a = run_cli("sample", "--n", "30", "--seed", "11", "--count", "5")
         b = run_cli("sample", "--n", "30", "--seed", "11", "--count", "5")

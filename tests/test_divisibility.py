@@ -380,6 +380,23 @@ class TestEpsilon:
                             # no sequence of the other sign
                             assert (odd if epsilon(lam, lam2, m) == 1 else even) == 0
 
+    def test_many_empty_runners_cost_no_pairs(self):
+        # 10**5 runners, at most three of them holding beads
+        import signal
+
+        def stop(signum, frame):
+            raise TimeoutError("epsilon took more than 10 s")
+
+        m = 10**5
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            assert epsilon((5, 3, 1), (5, 3, 1), m) == 1
+            assert epsilon((m - 1, 1), (), m) == -1  # one hook of height 1
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
 
 class TestLemma61:
     def test_mixed_signs_are_a_violation_with_both_signs(self, monkeypatch):
@@ -425,15 +442,15 @@ class TestFactorization:
     def test_prediction_matches_the_shape_oracle(self):
         for n, m in product(range(1, 13), (1, 2, 3)):
             for lam, count, lam2, _ in divisibility._hook_groups(n, m, 4):
-                got = divisibility._predicted_count(lam, lam2, m, count)
+                got = divisibility._predicted_count(lam, lam2, m, count, {})
                 assert got == predicted_count_via_shapes(lam, lam2, m, count)
 
     def test_witness_is_the_first_of_two_failures(self, monkeypatch):
         real = divisibility._predicted_count
 
-        def one_more_at_three(lam, lam2, m, count):
+        def one_more_at_three(lam, lam2, m, count, memo):
             # [4] and [3,1] each reach [3]
-            predicted, *rest = real(lam, lam2, m, count)
+            predicted, *rest = real(lam, lam2, m, count, memo)
             return predicted + (lam2 == (3,)), *rest
 
         monkeypatch.setattr(divisibility, "_predicted_count", one_more_at_three)
@@ -442,6 +459,15 @@ class TestFactorization:
         assert report.witness == {
             "lambda": "[4]", "lambda2": "[3]", "m": 1, "direct": 1, "predicted": 2
         }
+
+    def test_no_memo_outlives_the_sweep(self, count_memos):
+        import gc
+
+        memos = count_memos
+        assert verify_factorization(10, 2, 3).ok
+        # one memo for the whole sweep, held by nothing but the list above
+        assert memos[0] and all(memo is memos[0] for memo in memos)
+        assert gc.get_referrers(memos[0]) == [memos]
 
 
 class TestLemma62:
@@ -735,40 +761,22 @@ class TestLemma81Sweep:
         odd = [s for s in classes if count_skew_syt(s) % 2]
         assert odd[0] == target
 
-    @staticmethod
-    def _sweep_memos(monkeypatch, box, cfg):
-        """The memo of every count call that verify_lemma81(box, cfg) makes."""
-        import charcore.tableaux as tableaux
-
-        memos, real = [], tableaux._count_rows
-
-        def spy(rows, memo):
-            memos.append(memo)
-            return real(rows, memo)
-
-        monkeypatch.setattr(tableaux, "_count_rows", spy)
-        verify_lemma81(box, cfg)
-        return memos
-
-    def test_memo_holds_connected_shapes_only(self, monkeypatch):
+    def test_memo_holds_connected_shapes_only(self, count_memos):
         from charcore.tableaux import _spans_shape
 
-        memos = self._sweep_memos(monkeypatch, 7, CombineConfig(2, 3))
-        assert memos[0]
-        for key in memos[0]:
+        verify_lemma81(7, CombineConfig(2, 3))
+        assert count_memos[0]
+        for key in count_memos[0]:
             assert len(oracles.connected_components(_spans_shape(key))) == 1, key
 
-    def test_no_memo_entry_outlives_the_sweep(self, monkeypatch):
+    def test_no_memo_entry_outlives_the_sweep(self, count_memos):
         import gc
 
-        import charcore.tableaux as tableaux
-
-        kept = len(tableaux._SKEW_COUNTS)
-        memos = self._sweep_memos(monkeypatch, 6, CombineConfig(2, 3))
+        memos = count_memos
+        verify_lemma81(6, CombineConfig(2, 3))
         assert memos[0] and all(memo is memos[0] for memo in memos)
         # only the list above still holds the sweep's memo
         assert gc.get_referrers(memos[0]) == [memos]
-        assert len(tableaux._SKEW_COUNTS) == kept
 
     def test_admits_the_sweeps_in_use(self):
         # the bench job, criterion 7 and the slow size-sixteen sweep

@@ -326,6 +326,18 @@ class TestLemma91Delta:
         with pytest.raises(RangeError):
             lemma91_delta(10**6, cfg, 1.0)
 
+    def test_wide_window_is_refused_before_the_first_ell(self, monkeypatch):
+        import charcore.stats as stats
+
+        def no_sum(*args):
+            raise AssertionError("summed a term of the window")
+
+        monkeypatch.setattr(stats, "_series_floor", no_sum)
+        cfg = CombineConfig(2, 2)
+        n = 10**12  # 97,462 values of l, a window of 194,923
+        with pytest.raises(SizeCapError, match="got 194923"):
+            lemma91_delta(n, cfg, self._in_range_L(n, cfg))
+
 
 class TestSeriesKernel:
     @settings(deadline=None, max_examples=150)

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import math
 import random
 
@@ -7,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from charcore.errors import SizeCapError
 from charcore.partitions import partitions_of
 from charcore.tableaux import (
-    _SKEW_COUNTS,
     SkewShape,
     _box_class_count,
-    _box_spans,
+    _box_classes,
     _spans_shape,
     count_skew_syt,
     count_syt,
@@ -239,13 +240,31 @@ class TestComponents:
                     predicted *= count_skew_syt(c)
                 assert count_skew_syt(shape) == predicted, str(shape)
 
-    def test_count_memo_holds_connected_shapes_only(self):
+    def test_count_memo_holds_connected_shapes_only(self, count_memos):
         # a disconnected shape is counted from its components, never kept whole
         for k in range(1, 9):
             for shape in iter_box_skews(6, 6, k):
                 count_skew_syt(shape)
-        for key in _SKEW_COUNTS:
-            assert len(connected_components(_spans_shape(key))) == 1, key
+        seen = set()
+        for memo in count_memos:
+            if id(memo) not in seen:
+                seen.add(id(memo))
+                for key in memo:
+                    assert len(connected_components(_spans_shape(key))) == 1, key
+        assert len(seen) > 1000
+
+    def test_no_memo_outlives_a_count(self, count_memos):
+        memos = count_memos
+        firsts = []
+        for shape in (SkewShape((5, 5, 2), (3, 1)), SkewShape((5, 2), (3,))):
+            firsts.append(len(memos))
+            count_skew_syt(shape)
+            # one memo per call, its own
+            assert all(memo is memos[firsts[-1]] for memo in memos[firsts[-1] :])
+        assert memos[firsts[0]] is not memos[firsts[1]]
+        # only the list above still holds each call's memo
+        for i in firsts:
+            assert memos[i] and gc.get_referrers(memos[i]) == [memos]
 
 
 @pytest.mark.slow
@@ -282,32 +301,74 @@ class TestBoxSkews:
                 assert canon in family
 
 
-class TestBoxSpans:
+class TestBoxClasses:
     def test_spans_are_the_row_spans_of_the_shapes(self):
         boxes = [(b, k) for b in range(1, 7) for k in range(1, b * b + 1)] + [(8, 8)]
         for box, size in boxes:
-            spans = list(_box_spans(box, box, size))
+            spans = [spans for spans, _ in _box_classes(box, box, size)]
             shapes = [tuple(s.row_spans()) for s in iter_box_skews(box, box, size)]
             assert spans == shapes, (box, size)
 
     def test_rejects_an_empty_size(self):
         with pytest.raises(ValueError):
-            next(_box_spans(3, 3, 0))
+            next(_box_classes(3, 3, 0))
 
     def test_class_count_matches_the_sweeps(self):
         for rows in range(6):
             for cols in range(6):
                 for size in range(1, 10):
                     swept = sum(
-                        1 for k in range(1, size + 1) for _ in _box_spans(rows, cols, k)
+                        1
+                        for k in range(1, size + 1)
+                        for _ in _box_classes(rows, cols, k)
                     )
                     assert _box_class_count(rows, cols, size, 10**9) == swept
+
+    @pytest.mark.parametrize(
+        "box",
+        [(8, 8, 8), (6, 6, 9), (10, 4, 7), (3, 12, 9)]
+        + [pytest.param((8, 8, 16), marks=pytest.mark.slow)],
+        ids=lambda box: "x".join(map(str, box)),
+    )
+    def test_class_sequence_is_frozen(self, box):
+        # every (spans, f) in walk order, without a memo (f is None) and with one
+        for memo, digest in zip((None, {}), FROZEN_CLASSES[box]):
+            h = hashlib.sha256()
+            for spans, f in _box_classes(*box, memo):
+                h.update(f"{spans}:{f}\n".encode())
+            assert h.hexdigest() == digest, (box, memo is not None)
 
     def test_class_count_past_the_cap_is_a_lower_bound(self):
         exact = _box_class_count(8, 8, 16, 10**9)
         assert exact == 2087896
         for cap in (0, 100, 10**4, exact - 1):
             assert cap < _box_class_count(8, 8, 16, cap) <= exact
+
+
+# sha256 of the "<spans>:<f>\n" lines of `_box_classes(*box, memo)`, without a
+# memo and with one, recorded from the earlier recursive walk of the classes
+FROZEN_CLASSES = {
+    (8, 8, 8): (
+        "a8be985bdddf28691c1e17601474af10c032ff59a7f494fae9216f010cb80935",
+        "ea76c720f68b3acb8b3eac176ada7c4d0a1a754727b20eaca9579fa344175b60",
+    ),
+    (6, 6, 9): (
+        "1051da22d43e21a699d10b3aa5d720505420a08d5d5c0e880881e25e72033623",
+        "4929cdaf091faaeb66e466888a7719b312f4b0fca4c733cc365ad699548548d9",
+    ),
+    (10, 4, 7): (
+        "7a4416f440b631090821225ae64067c34657bde0a29b0b719a862a7412925b78",
+        "d52d76c33375fcf3f854fa66be8ba7601a2f5fdbe2963f55fc62fd4ae130a60b",
+    ),
+    (3, 12, 9): (
+        "48cefd42ae419b0e9d94a211ecc22a61fb755701af2e386aadf6b7a8d2896f95",
+        "17a44c4962b195639f796c141d342823d6b0ab4cdc2aab805a7de5a7a001b218",
+    ),
+    (8, 8, 16): (
+        "7c7513feae3a520a733ad5e97653d588bdb5256848d4d0e897327d9e29c68b20",
+        "449c78618080aa5c6c8278f9bcca16bf097b0135647969c258cad4f3fa9dab5f",
+    ),
+}
 
 
 def _skew_pairs():
