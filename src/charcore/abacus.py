@@ -32,6 +32,7 @@ a runner's partition has one part per bead, its level minus its rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 
 from .errors import FormatError, UnreachableError
 from .partitions import Partition, _beta_numbers, check_partition
@@ -227,11 +228,12 @@ def quotient(a: Abacus, m: int) -> QuotientView:
     return QuotientView(m, base, raw, tuple(canonicalize(sub) for sub in raw))
 
 
-def _runners(beads: list[int], m: int) -> list[list[int]]:
-    """Bead levels per runner, increasing: bead i is level i // m of runner i % m."""
-    runners: list[list[int]] = [[] for _ in range(m)]
+def _runners(beads: list[int], m: int) -> dict[int, list[int]]:
+    """{runner: its bead levels, increasing} for the runners that hold beads:
+    bead i is level i // m of runner i % m."""
+    runners: dict[int, list[int]] = {}
     for i in beads:
-        runners[i % m].append(i // m)
+        runners.setdefault(i % m, []).append(i // m)
     return runners
 
 
@@ -263,7 +265,8 @@ def _aligned_runners(w1: int, w2: int, m: int):
     Removing m-hooks keeps every bead on its runner and at its rank there and
     only moves beads down, so w2 is reachable from w1 iff every runner holds as
     many beads in both and no bead of w2 sits above the bead of the same rank
-    in w1; raises UnreachableError otherwise.
+    in w1; raises UnreachableError otherwise.  Only the runners that hold
+    beads are kept (`_runners`), so the cost does not grow with m.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -271,22 +274,24 @@ def _aligned_runners(w1: int, w2: int, m: int):
     # leading beads that give w2 as many as w1; if w2 has more, a runner count differs
     shift = max(0, w1.bit_count() - w2.bit_count())
     r1, r2 = _runners(_beads(w1), m), _runners(_beads(((w2 + 1) << shift) - 1), m)
-    for x, y in zip(r1, r2):
-        if len(x) != len(y) or any(l2 > l1 for l1, l2 in zip(x, y)):
-            a, a2 = _window(w1), _window(w2)
-            raise UnreachableError(f"{a2} is not reachable from {a} by {m}-hooks")
+    if r1.keys() != r2.keys() or any(
+        len(x) != len(r2[c]) or any(map(gt, r2[c], x)) for c, x in r1.items()
+    ):
+        a, a2 = _window(w1), _window(w2)
+        raise UnreachableError(f"{a2} is not reachable from {a} by {m}-hooks")
     return r1, r2
 
 
-def _residue_skews(w1: int, w2: int, m: int) -> list[tuple[Partition, Partition]]:
-    """Per runner, (outer, inner): the partitions of its levels in w1 and in w2.
+def _residue_skews(w1: int, w2: int, m: int) -> dict[int, tuple[Partition, Partition]]:
+    """{runner: (outer, inner)}, the partitions of its levels in w1 and in w2,
+    by runner, for the runners that hold beads; the others hold the empty skew.
 
     Requires w2 to be reachable from w1 by m-hooks (see `_aligned_runners`).
     """
-    return [
-        (_bead_partition(x), _bead_partition(y))
-        for x, y in zip(*_aligned_runners(w1, w2, m))
-    ]
+    r1, r2 = _aligned_runners(w1, w2, m)
+    return {
+        c: (_bead_partition(x), _bead_partition(r2[c])) for c, x in sorted(r1.items())
+    }
 
 
 def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int]]:
@@ -295,8 +300,9 @@ def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int
     Requires a2 to be reachable from a by removing hooks of length m; the
     shapes' sizes sum to the number of removed hooks.
     """
+    skews = _residue_skews(bead_mask(a), bead_mask(a2), m)
     result = []
-    for outer, inner in _residue_skews(bead_mask(a), bead_mask(a2), m):
-        shape = SkewShape(outer, inner)
+    for c in range(m):
+        shape = SkewShape(*skews.get(c, ((), ())))
         result.append((shape, shape.size))
     return result

@@ -11,8 +11,8 @@ Levels of at most CHI_TAIL cells are kept, so they are built once for every
 class that ends in the same small parts.  One value (`chi`) or a few rows
 (`_chi_values`) walk forward from their rows instead, largest part first,
 until at most CHI_TAIL cells remain, and read the rest from the cached
-level.  Rows are bead masks (see `abacus.bead_mask`), encoded once per row
-and size.  Values are plain Python integers, so no precision is ever lost.
+level.  Rows are bead masks (see `abacus.bead_mask`), one table per size
+(`_row_table`).  Values are plain Python integers, so no precision is lost.
 """
 
 from __future__ import annotations
@@ -121,39 +121,31 @@ def _tail_values(masks, tail: Partition) -> list[int]:
     n = sum(tail)
     if n > CHI_TAIL:
         return [_degree_of_betas(_beads(w)) for w in masks]
-    level, index = _level(tail[::-1]), _row_index(n)
+    level, index = _level(tail[::-1]), _row_table(n)[3]
     return [level[index[w]] for w in masks]
 
 
 @lru_cache(maxsize=None)
-def _row_table(n: int) -> tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
-    """The rows of size n in level order, and where each row of table order
-    is read from the top of a column: (bead masks, top, plain, signed).
+def _row_table(n: int) -> tuple[tuple[int, ...], int, tuple[int, ...], dict[int, int]]:
+    """The rows of size n in level order, how many are top rows, where each
+    row of table order is read from the top of a column, and each row's level
+    position: (bead masks, top, signed, index).  The index is never to be
+    changed, though `_strip_lists` numbers into it any row left it lacks.
 
     Level order puts first, in table order, the `top` rows whose table index
-    is at most their conjugate's, then the others.  Entry i of `plain` is the
-    level position of table row i, or of its conjugate when row i is not a
-    top row; `signed` complements those conjugate positions, for reading
-    against `_signed` of the top rows' values.
+    is at most their conjugate's, then the others.  Entry i of `signed` is the
+    level position of table row i, or its conjugate's complemented (~k) when
+    row i is not a top row.
     """
     masks = [bead_mask(from_partition(lam)) for lam in partitions_of(n)]
     index = {w: i for i, w in enumerate(masks)}
     conjugates = [index[_conjugate_mask(w)] for w in masks]
     top = [i for i, j in enumerate(conjugates) if i <= j]
-    position = {i: k for k, i in enumerate(top)}
-    plain, signed = [], []
-    for i, j in enumerate(conjugates):
-        k = position[min(i, j)]
-        plain.append(k)
-        signed.append(k if i <= j else ~k)
+    pos = {i: k for k, i in enumerate(top)}
+    signed = tuple(pos[i] if i <= j else ~pos[j] for i, j in enumerate(conjugates))
     order = top + [i for i, j in enumerate(conjugates) if i > j]
-    return tuple(masks[i] for i in order), len(top), tuple(plain), tuple(signed)
-
-
-@lru_cache(maxsize=None)
-def _row_index(n: int) -> dict[int, int]:
-    """{bead mask: level position} of the rows of size n; never to be changed."""
-    return {w: k for k, w in enumerate(_row_table(n)[0])}
+    rows = tuple(masks[i] for i in order)
+    return rows, len(top), signed, {w: k for k, w in enumerate(rows)}
 
 
 def _strip_lists(rows, t: int, index: dict[int, int]) -> tuple[list[int], list[int]]:
@@ -201,7 +193,7 @@ def _transfers(n: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     level order of size n - t, which holds every row left.  Each row of n is
     scanned once per t for the life of the process.
     """
-    flat, bounds = _strip_lists(_row_table(n)[0], t, _row_index(n - t))
+    flat, bounds = _strip_lists(_row_table(n)[0], t, _row_table(n - t)[3])
     return tuple(flat), tuple(bounds)
 
 
@@ -253,19 +245,19 @@ def chi_column(mu) -> list[int]:
     """Character values of every row, in reverse-lex order, on the class `mu`.
 
     The parts below the largest give a full level (`_level`); at the top
-    only the top rows of `_row_table` are computed, and each row of table
-    order reads its own value or its conjugate's, since
-    chi^{lam'}(mu) = (-1)^(n - len(mu)) chi^lam(mu).
+    only the top rows of `_row_table` are computed.  Each row of table order
+    reads its own value or its conjugate's through `signed`, since
+    chi^{lam'}(mu) = (-1)^(n - len(mu)) chi^lam(mu): entry ~k reads top row k
+    negated (`_signed`) when n - len(mu) is odd, mirrored when it is even.
     """
     mu = check_partition(mu)
     if not mu:
         return [1]
     n = sum(mu)
-    _, top, plain, signed = _row_table(n)
+    _, top, signed, _ = _row_table(n)
     half = _apply(_transfers(n, mu[0]), _level(mu[:0:-1]), top)
-    if (n - len(mu)) & 1:
-        return list(map(_signed(half).__getitem__, signed))
-    return list(map(half.__getitem__, plain))
+    both = _signed(half) if (n - len(mu)) & 1 else half + half[::-1]
+    return list(map(both.__getitem__, signed))
 
 
 def degree(lam) -> int:

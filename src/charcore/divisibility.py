@@ -324,23 +324,26 @@ def epsilon(lam, lam2, m: int) -> int:
     return -1 if _crossings(r1) ^ _crossings(r2) else 1
 
 
-def _crossings(runners: list[list[int]]) -> int:
+def _crossings(runners: dict[int, list[int]]) -> int:
     """Parity of the bead pairs whose index order and runner order disagree.
 
     A bead at level x of runner c comes after a bead at level y of a later
-    runner iff y < x.  Empty runners hold no pair, so only the others are read.
+    runner iff y < x.  Empty runners hold no pair, and `_runners` keeps none.
     """
-    held = [levels for levels in runners if levels]
+    held = sorted(runners.items())
     return sum(
         bisect_left(later, x)
-        for c, levels in enumerate(held)
-        for later in held[c + 1 :]
+        for c, (_, levels) in enumerate(held)
+        for _, later in held[c + 1 :]
         for x in levels
     ) & 1
 
 
 @dataclass(frozen=True)
 class FactorizationCheck:
+    """skew_counts and skew_sizes hold one entry per runner that holds beads
+    of lam, by runner."""
+
     ok: bool
     direct: int
     predicted: int
@@ -360,9 +363,10 @@ def _predicted_count(lam, lam2, m: int, count: int, memo: dict):
     """Ordered removals of `count` m-hooks from lam down to lam2, predicted.
 
     The count factors as a multinomial over residues times the per-residue
-    filling counts, from `memo`; returns (prediction, multinomial, fillings, sizes).
+    filling counts, from `memo`; returns (prediction, multinomial, fillings,
+    sizes), with fillings and sizes for the runners of lam that hold beads.
     """
-    skews = _residue_skews(_partition_mask(lam), _partition_mask(lam2), m)
+    skews = _residue_skews(_partition_mask(lam), _partition_mask(lam2), m).values()
     sizes = tuple(sum(outer) - sum(inner) for outer, inner in skews)
     assert sum(sizes) == count
     multinomial = _multinomial(count, sizes)

@@ -31,9 +31,12 @@ RESTRICTED_CAP = 2000
 # 100,000 samples took 65 s and 434 MB peak RSS on the CLI (2-vCPU x86-64,
 # Python 3.11), about 0.65 ms a sample after a 2 s table build
 PROP4_SAMPLES_CAP = 100_000
-# delta refuses a wider l window before listing it; at the cap a window took
-# 2.2-6.9 s at k_truncation <= 1024, 177 s at 32768 (see docs/formats.md)
+# delta refuses a wider l window before listing it, and more series terms
+# (values of l times k_truncation) before summing one: 17,143 values of l at
+# k_truncation 1024 took 7.7 s and 21 MB peak RSS in process (2-vCPU x86-64,
+# Python 3.11; see docs/formats.md)
 DELTA_WINDOW_CAP = 20_000
+DELTA_TERMS_CAP = 20_000_000
 DELTA_DPS = 30  # significant digits of the reported Delta
 
 
@@ -433,6 +436,11 @@ def lemma91_delta(
             kmax *= 2
             if kmax > PPOWER_CAP:
                 raise SizeCapError("tail target unreachable at a sane truncation")
+        if len(ells) * kmax > DELTA_TERMS_CAP:
+            raise SizeCapError(
+                f"delta capped at {DELTA_TERMS_CAP} series terms, got "
+                f"{len(ells)} values of l times k_truncation {kmax}"
+            )
 
         total = _ppower_table(cfg.p, kmax)
         good = restricted_counts_table(cfg.p, cfg.r, s, kmax)

@@ -45,15 +45,23 @@ def tables():
     return TableCache()
 
 
+# every process-lifetime cache of `characters`, as the source guard in
+# test_source.py finds them
+CHARACTER_CACHES = ("_LEVELS", "_row_table", "_transfers")
+
+
 @pytest.fixture
 def cold_characters():
     """Every process-lifetime cache of `characters` empty when the test starts,
     and emptied again when it ends, so nothing it built under a patch is kept."""
 
     def clear():
-        for cache in (characters._row_table, characters._row_index, characters._transfers):
-            cache.cache_clear()
-        characters._LEVELS.clear()
+        for name in CHARACTER_CACHES:
+            cache = getattr(characters, name)
+            if isinstance(cache, dict):
+                cache.clear()
+            else:
+                cache.cache_clear()
 
     clear()
     yield

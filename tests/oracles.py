@@ -572,14 +572,17 @@ def predicted_count_via_shapes(lam, lam2, m, count):
     """`_predicted_count` through `Abacus` windows and `SkewShape`s.
 
     Returns (prediction, multinomial, fillings, sizes) from
-    `skew_per_residue` and `count_skew_syt`.
+    `skew_per_residue` and `count_skew_syt`, with fillings and sizes for the
+    residues of lam's beta-numbers, the runners that hold its beads.
     """
     from math import prod
 
     from charcore.abacus import from_partition, skew_per_residue
     from charcore.tableaux import count_skew_syt
 
+    held = {(part + k) % m for k, part in enumerate(reversed(lam))}
     skews = skew_per_residue(from_partition(lam), from_partition(lam2), m)
+    skews = [skew for c, skew in enumerate(skews) if c in held]
     sizes = tuple(size for _, size in skews)
     assert sum(sizes) == count
     multinomial = factorial(count)

@@ -359,6 +359,17 @@ class TestSkewPerResidue:
         with pytest.raises(UnreachableError):
             skew_per_residue(from_partition((2,)), from_partition((1, 1)), 2)
 
+    def test_one_entry_per_residue(self):
+        # (9) has its one bead on runner 2 of 7; the other six are empty
+        shapes = skew_per_residue(from_partition((9,)), from_partition((2,)), 7)
+        assert [(shape.outer, shape.inner, size) for shape, size in shapes] == [
+            ((), (), 0), ((), (), 0), ((1,), (), 1), ((), (), 0),
+            ((), (), 0), ((), (), 0), ((), (), 0),
+        ]
+        with pytest.raises(UnreachableError):
+            # no bead to move: the empty row reaches nothing bigger
+            skew_per_residue(from_partition(()), from_partition((5, 3)), 4)
+
     def test_reachability_matches_diagram_removals(self):
         # lam2 is reachable iff some chain of diagram strip removals leads there
         from charcore.divisibility import epsilon
@@ -392,4 +403,4 @@ class TestSkewPerResidue:
     def test_aligned_windows_charge(self):
         a, b = from_partition((1,)), from_partition(())
         r1, r2 = _aligned_runners(bead_mask(a), bead_mask(b), 1)
-        assert sum(map(len, r1)) == sum(map(len, r2))
+        assert sum(map(len, r1.values())) == sum(map(len, r2.values()))

@@ -50,7 +50,7 @@ def class_sign(mu):
 def per_row_lists(n, t):
     """Per row of n in level order, one list of where its t-strips lead: the
     level position of each row of n - t left, complemented for odd heights."""
-    index = characters._row_index(n - t)
+    index = characters._row_table(n - t)[3]
     return [
         [
             ~index[smaller] if height & 1 else index[smaller]

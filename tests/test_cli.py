@@ -236,6 +236,17 @@ class TestExitCodes:
             f"charcore: error: tail must be positive and finite, got {float(tail)}\n"
         )
 
+    def test_delta_refuses_too_many_series_terms(self):
+        res = run_cli(
+            "stats", "delta", "--n", "9631347665285", "--p", "11", "--r", "3",
+            "--L", "9999.94",
+        )
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == (
+            "charcore: error: delta capped at 20000000 series terms, "
+            "got 18180 values of l times k_truncation 32768\n"
+        )
+
     @pytest.mark.parametrize("dps", ["-5", "0"])
     def test_fp_rejects_dps_below_one(self, dps):
         res = run_cli("stats", "fp", "--p", "2", "--t", "5", "--dps", dps)

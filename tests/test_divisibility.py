@@ -397,6 +397,17 @@ class TestEpsilon:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old)
 
+    def test_cost_does_not_grow_with_m(self):
+        # 10**6 runners, at most three of them holding beads; a pass over
+        # every runner would take about a second here
+        import time
+
+        m = 10**6
+        start = time.process_time()
+        assert epsilon((5, 3, 1), (5, 3, 1), m) == 1
+        assert divisibility._predicted_count((m + 2, 1), (2, 1), m, 1, {})[0] == 1
+        assert time.process_time() - start < 0.1
+
 
 class TestLemma61:
     def test_mixed_signs_are_a_violation_with_both_signs(self, monkeypatch):

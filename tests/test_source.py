@@ -3,11 +3,13 @@
 Every name a module imports must be used in it, every private top-level
 name (`_x`, not a dunder) must be referenced somewhere in the package, only
 `VerifyReport` sets a verifier's tallies, no private function but
-`_same_size` checks a partition, and every cache that lives as long as the
-process is named, with its bound, in `docs/formats.md`.
+`_same_size` checks a partition, every cache that lives as long as the
+process is named, with its bound, in `docs/formats.md`, every cache named
+there lives, and `cold_characters` empties every cache of `characters`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -206,14 +208,41 @@ def d(memo):
     assert found == {"a", "b", "_STORED", "_APPENDED", "_HANDED", "_FILLED"}
 
 
-def test_process_caches_are_documented_with_their_bounds():
+def _cache_section():
     section = (ROOT / "docs" / "formats.md").read_text()
-    section = section.split("## Process-lifetime caches")[1].split("\n## ")[0]
+    return section.split("## Process-lifetime caches")[1].split("\n## ")[0]
+
+
+def _live_caches():
+    """`module.name` of every process-lifetime cache in the package."""
     functions = _package_functions()
-    missing = [
+    return {
         f"{module[:-3]}.{name}"
         for module, tree in TREES.items()
         for name in _process_caches(tree, functions)
-        if f"`{module[:-3]}.{name}`" not in section
-    ]
+    }
+
+
+def test_process_caches_are_documented_with_their_bounds():
+    section = _cache_section()
+    missing = sorted(c for c in _live_caches() if f"`{c}`" not in section)
     assert not missing, f"caches not named under Process-lifetime caches: {missing}"
+
+
+def test_documented_caches_are_live():
+    # the first cell of each row of the cache table
+    named = {
+        name
+        for line in _cache_section().splitlines()
+        if line.startswith("| `")
+        for name in re.findall(r"`(\w+\.\w+)`", line.split("|")[1])
+    }
+    stale = sorted(named - _live_caches())
+    assert not stale, f"named under Process-lifetime caches, but no cache: {stale}"
+
+
+def test_cold_characters_clears_every_characters_cache():
+    import conftest
+
+    found = _process_caches(TREES["characters.py"], _package_functions())
+    assert sorted(conftest.CHARACTER_CACHES) == sorted(found)

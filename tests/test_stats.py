@@ -338,6 +338,23 @@ class TestLemma91Delta:
         with pytest.raises(SizeCapError, match="got 194923"):
             lemma91_delta(n, cfg, self._in_range_L(n, cfg))
 
+    def test_too_many_terms_are_refused_before_the_first_ell(self, monkeypatch):
+        import time
+
+        import charcore.stats as stats
+
+        def no_sum(*args):
+            raise AssertionError("summed a term of the window")
+
+        monkeypatch.setattr(stats, "_series_floor", no_sum)
+        cfg = CombineConfig(11, 3)
+        n = 9_631_347_665_285  # a window of 19,997; summing it took 177 s
+        start = time.process_time()
+        match = "got 18180 values of l times k_truncation 32768"
+        with pytest.raises(SizeCapError, match=match):
+            lemma91_delta(n, cfg, self._in_range_L(n, cfg))
+        assert time.process_time() - start < 1
+
 
 class TestSeriesKernel:
     @settings(deadline=None, max_examples=150)
