@@ -4,11 +4,9 @@ with prime-power divisibility verifiers and desk-scale statistics."""
 from .abacus import (
     Abacus,
     Hook,
-    QuotientView,
     from_partition,
     hooks_of_length,
     is_tcore,
-    quotient,
     remove_border_strip,
     skew_per_residue,
     tcore,
@@ -26,14 +24,12 @@ from .divisibility import (
     CombineConfig,
     ReductionTrace,
     VerifyReport,
-    check_divisibility_theorem,
     combine_step,
     enumerate_hook_sequences,
     epsilon,
     reduce_partition,
     theorem1_pipeline,
     verify_combine_congruence,
-    verify_count_factorization,
 )
 from .errors import (
     FormatError,

@@ -48,18 +48,6 @@ class Abacus:
         if not set(self.word) <= {0, 1}:
             raise FormatError(f"abacus word must hold only 0s and 1s, got {self.word}")
 
-    def bead(self, i: int) -> int:
-        """Bead at absolute index i: implicit 1s to the left, 0s to the right."""
-        if i < self.offset:
-            return 1
-        if i >= self.offset + len(self.word):
-            return 0
-        return self.word[i - self.offset]
-
-    def shift(self, j: int) -> "Abacus":
-        """Index-shifted window; represents the same partition."""
-        return Abacus(self.word, self.offset + j)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.word) + f"@{self.offset}"
 
@@ -79,11 +67,6 @@ class Hook:
     @property
     def end(self) -> int:
         return self.start + self.length
-
-
-def canonicalize(word) -> Abacus:
-    """Canonical window: trimmed, with the first 0 placed at index 0."""
-    return _window(_trim(bead_mask(Abacus(tuple(word)))))
 
 
 def _partition_mask(parts: Partition) -> int:
@@ -195,37 +178,6 @@ def remove_border_strip(a: Abacus, h: Hook) -> Abacus:
         if start == i:
             return _window(smaller)
     raise ValueError(f"{h} is not a hook of {a}")
-
-
-@dataclass(frozen=True)
-class QuotientView:
-    """The residue subsequences of a window mod `modulus`.
-
-    `raw[c]` collects the beads at absolute indices base + c, base + c + m, ...
-    over a padded window whose length is a multiple of m, so interleaving the
-    raw subwords reproduces the original sequence exactly.  `subabaci[c]` is the
-    canonical abacus of the c-th subsequence.
-    """
-
-    modulus: int
-    base: int
-    raw: tuple[tuple[int, ...], ...]
-    subabaci: tuple[Abacus, ...]
-
-    def sub_partitions(self) -> tuple[Partition, ...]:
-        return tuple(to_partition(sub) for sub in self.subabaci)
-
-
-def quotient(a: Abacus, m: int) -> QuotientView:
-    """Split the window into its m residue classes."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    base = (a.offset // m) * m
-    pad_left = a.offset - base
-    pad_right = -(pad_left + len(a.word)) % m
-    w = [1] * pad_left + list(a.word) + [0] * pad_right
-    raw = tuple(tuple(w[c::m]) for c in range(m))
-    return QuotientView(m, base, raw, tuple(canonicalize(sub) for sub in raw))
 
 
 def _runners(beads: list[int], m: int) -> dict[int, list[int]]:

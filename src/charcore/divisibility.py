@@ -27,7 +27,7 @@ from .abacus import (
     strip_removals,
 )
 from .characters import _chi_values, _same_size, chi, chi_column
-from .errors import SizeCapError, UnreachableError
+from .errors import SizeCapError
 from .partitions import (
     Partition,
     check_partition,
@@ -339,19 +339,6 @@ def _crossings(runners: dict[int, list[int]]) -> int:
     ) & 1
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
-    """skew_counts and skew_sizes hold one entry per runner that holds beads
-    of lam, by runner."""
-
-    ok: bool
-    direct: int
-    predicted: int
-    multinomial: int
-    skew_counts: tuple[int, ...]
-    skew_sizes: tuple[int, ...]
-
-
 def _multinomial(total: int, parts: Iterable[int]) -> int:
     out = factorial(total)
     for s in parts:
@@ -374,24 +361,6 @@ def _predicted_count(lam, lam2, m: int, count: int, memo: dict):
     return multinomial * prod(fillings), multinomial, fillings, sizes
 
 
-def verify_count_factorization(lam, lam2, m: int) -> FactorizationCheck:
-    """Compare the direct sequence count against the residue-wise product."""
-    lam = check_partition(lam)
-    lam2 = check_partition(lam2)
-    _check_m(m)
-    diff = sum(lam) - sum(lam2)
-    if diff <= 0 or diff % m:
-        raise UnreachableError(
-            f"size difference {diff} is not a positive multiple of {m}"
-        )
-    count = diff // m
-    predicted, multinomial, fillings, sizes = _predicted_count(lam, lam2, m, count, {})
-    direct = sum(enumerate_hook_sequences(lam, m, count).get(lam2, (0, 0)))
-    return FactorizationCheck(
-        direct == predicted, direct, predicted, multinomial, fillings, sizes
-    )
-
-
 def _hook_groups(n: int, m: int, max_hooks: int):
     """(lam, count, target, (even, odd)) per row of size n and count <= max_hooks."""
     _check_m(m)
@@ -401,7 +370,7 @@ def _hook_groups(n: int, m: int, max_hooks: int):
                 yield lam, count, lam2, pair
 
 
-def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
+def verify_lemma61(n: int, m: int, max_hooks: int) -> VerifyReport:
     """Sign constancy: within every group of sequences, all signs agree.
 
     Also cross-checks the sign `epsilon` computes against each group.
@@ -421,7 +390,7 @@ def verify_lemma61(n: int, m: int, max_hooks: int = 3) -> VerifyReport:
     return report
 
 
-def verify_factorization(n: int, m: int, max_hooks: int = 4) -> VerifyReport:
+def verify_factorization(n: int, m: int, max_hooks: int) -> VerifyReport:
     """Exhaust the counting identity over all reachable pairs at size n."""
     report = VerifyReport("factorization", {"n": n, "m": m, "max_hooks": max_hooks})
     memo: dict = {}
@@ -564,14 +533,6 @@ def _prop_pm1(
     return report
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    hypothesis_holds: bool
-    divides: bool
-    sizes: tuple[int, ...] | None
-    core_lengths: tuple[int, ...] | None
-
-
 def _sum_sets(
     mu, cfg: CombineConfig
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
@@ -600,19 +561,6 @@ def _hypothesis(mask: int, sum_sets: Iterable[tuple]):
     length of a set exactly when the two masks share no bit.
     """
     return next((s for s in sum_sets if not mask & s[2]), None)
-
-
-def check_divisibility_theorem(lam, mu, cfg: CombineConfig) -> TheoremCheck:
-    """Evaluate the core-condition hypothesis and the divisibility it promises.
-
-    The contract is one-directional: whenever the hypothesis holds, p**r must
-    divide the character value.
-    """
-    lam, mu = _same_size(lam, mu)
-    hit = _hypothesis(hook_length_mask(lam), _sum_sets(mu, cfg))
-    sizes, sums, _ = hit or (None, None, 0)
-    divides = chi(lam, mu) % cfg.q == 0
-    return TheoremCheck(hit is not None, divides, sizes, sums)
 
 
 def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:

@@ -19,6 +19,7 @@ from .divisibility import CombineConfig, _carry_classes, check_power, check_prim
 from .errors import RangeError, SizeCapError
 from .partitions import (
     ENUMERATION_CAP,
+    SAMPLING_CAP,
     multiplicities,
     partition_count,
     sample_seed,
@@ -38,6 +39,11 @@ PROP4_SAMPLES_CAP = 100_000
 DELTA_WINDOW_CAP = 20_000
 DELTA_TERMS_CAP = 20_000_000
 DELTA_DPS = 30  # significant digits of the reported Delta
+# fp refuses more predicted work, its factor count times its working digits
+# squared, before any: one exp at D digits took about 5.5e-10 * D**2 s, and
+# the largest admitted runs measured 1.5-4.8 s and 22 MB peak RSS in process
+# (2-vCPU x86-64, Python 3.11, mpmath without gmpy; see docs/formats.md)
+FP_WORK_CAP = 10**10
 
 
 @dataclass(frozen=True)
@@ -226,14 +232,25 @@ def generating_function_fp(p: int, t, dps: int = 30):
     """Product form of the p-power partition generating function at e**(-1/t).
 
     Factors with p**j > 50*t are dropped; each is within exp(exp(-50)) of 1,
-    far below the returned precision.  Tested against the truncated series
-    `fp_series` in `tests/oracles.py`.
+    far below the returned precision.  1 - exp(-p**j/t) cancels about
+    log10(t) digits, so past t = 2**40 they are added to the 15 guard digits.
+    Tested against the truncated series `fp_series` in `tests/oracles.py`.
     """
     check_prime(p)
-    with mpmath.workdps(dps + 15):
-        tt = mpmath.mpf(t)
-        if not (mpmath.isfinite(tt) and tt > 0):
-            raise ValueError(f"t must be positive and finite, got {t}")
+    tt = mpmath.mpf(t)
+    if not (mpmath.isfinite(tt) and tt > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
+    bits = mpmath.mag(tt)  # t <= 2**bits
+    digits = dps + 15 + max(0, bits - 40) * 3 // 10
+    # one exp per factor p**j <= 50*t < 2**(bits + 6), and p >= 2**(bits(p) - 1)
+    factors = (bits + 6) // (p.bit_length() - 1) + 1
+    if factors * digits**2 > FP_WORK_CAP:
+        raise SizeCapError(
+            f"fp capped at {FP_WORK_CAP} factors times working digits squared, "
+            f"got {factors} times {digits}**2"
+        )
+    with mpmath.workdps(digits):
+        tt = mpmath.mpf(t)  # again, at the working precision
         result = mpmath.mpf(1)
         power = mpmath.mpf(1)
         while power <= 50 * tt:
@@ -307,6 +324,10 @@ def prop4_empirical(
     threshold.  Sample i is drawn with `sample_seed(rng_seed, i)`, so the report
     is a pure function of (n, cfg, samples, rng_seed).
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if n > SAMPLING_CAP:
+        raise SizeCapError(f"sampling capped at n <= {SAMPLING_CAP}, got {n}")
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples > PROP4_SAMPLES_CAP:
@@ -398,6 +419,8 @@ def lemma91_delta(
     So Delta is a lower bound of the untruncated sum up to those roundings
     to nearest, not a certified one.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not (mpmath.isfinite(tail) and tail > 0):
         raise ValueError(f"tail must be positive and finite, got {tail}")
     with mpmath.workdps(DELTA_DPS + 15):
@@ -406,6 +429,11 @@ def lemma91_delta(
         scale = cfg.p ** (cfg.r + s - 1)
         lower = x / (2 * scale)
         upper = (1 + mpmath.mpf(1) / (5 * cfg.q)) * lower * mpmath.log(n)
+        if upper < lower:  # log(n) < 1 at n = 1 and 2
+            raise RangeError(
+                f"the L window [{mpmath.nstr(lower, 10)}, {mpmath.nstr(upper, 10)}] "
+                f"is empty at n={n}"
+            )
         Lval = mpmath.mpf(L)
         if not (lower <= Lval <= upper):
             raise RangeError(

@@ -300,6 +300,18 @@ def fp_series(p, t, dps=30):
         return +value
 
 
+def fp_expm1_product(p, t, dps=400):
+    """The product form at `dps` digits, each factor 1 - exp(-p**j/t) read as
+    -expm1(-p**j/t), which does not cancel for large t."""
+    with mpmath.workdps(dps):
+        tt = mpmath.mpf(t)
+        result, power = mpmath.mpf(1), mpmath.mpf(1)
+        while power <= 50 * tt:
+            result /= -mpmath.expm1(-power / tt)
+            power *= p
+        return result
+
+
 def delta_series_terms(coeffs, z):
     """sum(c * z**k for k, c in enumerate(coeffs)) term by term in mpf: one
     power, product and sum per term, each rounded to nearest at the working

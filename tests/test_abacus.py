@@ -9,12 +9,10 @@ from charcore.abacus import (
     _conjugate_mask,
     _partition_mask,
     bead_mask,
-    canonicalize,
     from_partition,
     hook_length_mask,
     hooks_of_length,
     is_tcore,
-    quotient,
     remove_border_strip,
     skew_per_residue,
     strip_removals,
@@ -106,14 +104,6 @@ class TestEncoding:
         # a window holding a 2 encodes no partition, so no hook scan reads it
         with pytest.raises(FormatError):
             hooks_of_length(Abacus((0, 2, 1)), 1)
-        with pytest.raises(FormatError):
-            canonicalize((0, 2, 1))
-
-    def test_shift_equivalence(self):
-        a = from_partition(WORKED)
-        shifted = a.shift(5)
-        assert to_partition(shifted) == WORKED
-        assert shifted.bead(5) == 0 and shifted.bead(4) == 1
 
 
 class TestHooks:
@@ -283,23 +273,18 @@ class TestBorderStripRemoval:
             remove_border_strip(a, Hook(2, length, 0))
 
 
+def m_quotient(lam, m):
+    """The m-quotient of lam as the skews down to its m-core, one per residue."""
+    a, core = from_partition(lam), from_partition(tcore(lam, m))
+    shapes = [shape for shape, _ in skew_per_residue(a, core, m)]
+    # the m-core is reached by pushing every bead down, so no inner shape remains
+    assert all(shape.inner == () for shape in shapes)
+    return [shape.outer for shape in shapes]
+
+
 class TestQuotient:
     def test_modulus_one_is_identity(self):
-        a = from_partition(WORKED)
-        qv = quotient(a, 1)
-        assert qv.subabaci == (a,)
-
-    def test_reconstruction(self):
-        for n in range(13):
-            for lam in partitions_of(n):
-                a = from_partition(lam)
-                for m in range(1, 6):
-                    qv = quotient(a, m)
-                    width = len(qv.raw[0])
-                    merged = [
-                        qv.raw[c][l] for l in range(width) for c in range(m)
-                    ]
-                    assert canonicalize(merged) == a
+        assert m_quotient(WORKED, 1) == [WORKED]
 
     def test_hook_count_correspondence(self):
         # length-m hooks match length-1 hooks across the residue classes
@@ -307,29 +292,28 @@ class TestQuotient:
             for lam in partitions_of(n):
                 a = from_partition(lam)
                 for m in range(1, 6):
-                    subs = quotient(a, m).subabaci
                     assert len(hooks_of_length(a, m)) == sum(
-                        len(hooks_of_length(s, 1)) for s in subs
+                        len(hooks_of_length(from_partition(q), 1))
+                        for q in m_quotient(lam, m)
                     )
 
     def test_size_bookkeeping(self):
         for n in range(13):
             for lam in partitions_of(n):
                 for m in range(1, 6):
-                    qv = quotient(from_partition(lam), m)
-                    inner = sum(sum(p) for p in qv.sub_partitions())
+                    inner = sum(sum(q) for q in m_quotient(lam, m))
                     assert n == m * inner + sum(tcore(lam, m))
 
     def test_core_quotients_are_cores(self):
         # an (R*m)-core has R-core residue classes
         for n in range(13):
             for lam in partitions_of(n):
-                for m in range(1, 4):
+                for m in range(1, 6):
                     for reps in (2, 3):
                         if not is_tcore(lam, reps * m):
                             continue
-                        for sub in quotient(from_partition(lam), m).sub_partitions():
-                            assert is_tcore(sub, reps) or sub == ()
+                        for q in m_quotient(lam, m):
+                            assert is_tcore(q, reps) or q == ()
 
 
 class TestSkewPerResidue:

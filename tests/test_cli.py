@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 BASE = [sys.executable, "-m", "charcore"]
@@ -254,6 +255,53 @@ class TestExitCodes:
         assert res.stderr == (
             f"charcore: error: --dps must be at least 1, got {dps}\n"
         )
+
+    def test_fp_keeps_every_digit_for_large_t(self):
+        from oracles import fp_expm1_product
+
+        res = run_cli("stats", "fp", "--p", "2", "--t", "1e40")
+        assert res.returncode == 0
+        with mpmath.workdps(30):
+            want = mpmath.nstr(+fp_expm1_product(2, 1e40), 30)
+        assert json.loads(res.stdout)["value"] == want
+        res = run_cli("stats", "fp", "--p", "2", "--t", "1e300")
+        assert res.returncode == 0 and res.stderr == ""
+
+    def test_fp_refuses_too_much_work_before_any(self, capsys):
+        from time import process_time
+
+        from charcore import cli
+
+        start = process_time()
+        argv = ["stats", "fp", "--p", "2", "--t", "10", "--dps", "1000000"]
+        assert cli.main(argv) == 2
+        assert process_time() - start < 1
+        assert capsys.readouterr() == (
+            "",
+            "charcore: error: fp capped at 10000000000 factors times working "
+            "digits squared, got 11 times 1000015**2\n",
+        )
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "stat, args",
+        [
+            ("delta", ["--p", "2", "--r", "1", "--L", "1"]),
+            ("prop4", ["--p", "2", "--r", "1", "--samples", "3", "--seed", "1"]),
+        ],
+    )
+    def test_delta_and_prop4_reject_n_below_one(self, stat, args, n):
+        res = run_cli("stats", stat, "--n", n, *args)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"charcore: error: n must be at least 1, got {n}\n"
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_delta_says_its_window_is_empty_below_three(self, n):
+        res = run_cli("stats", "delta", "--n", n, "--p", "2", "--r", "1", "--L", "0.1")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("charcore: error: the L window [")
+        assert res.stderr.endswith(f"] is empty at n={n}\n")
+        assert res.stderr.count("\n") == 1
 
     def test_internal_error_exits_two_and_keeps_out(
         self, tmp_path, monkeypatch, capsys

@@ -13,14 +13,12 @@ from charcore.characters import chi
 from charcore.divisibility import (
     CombineConfig,
     carry_levels,
-    check_divisibility_theorem,
     combine_step,
     enumerate_hook_sequences,
     epsilon,
     reduce_partition,
     theorem1_pipeline,
     verify_combine_congruence,
-    verify_count_factorization,
     verify_factorization,
     verify_lemma61,
     verify_lemma62,
@@ -338,9 +336,8 @@ class TestHookSequences:
 
 
 M_CHECKS = {
-    "count_factorization": lambda m: verify_count_factorization((2, 2), (1,), m),
-    "lemma61": lambda m: verify_lemma61(4, m),
-    "factorization": lambda m: verify_factorization(4, m),
+    "lemma61": lambda m: verify_lemma61(4, m, 3),
+    "factorization": lambda m: verify_factorization(4, m, 3),
     "lemma62": lambda m: verify_lemma62(4, m, CombineConfig(2, 2)),
     "prop_pm1": lambda m: verify_prop_pm1((2, 2), m, CombineConfig(2, 2)),
     "prop_pm1_sweep": lambda m: verify_prop_pm1_sweep(4, m, CombineConfig(2, 2)),
@@ -436,13 +433,12 @@ class TestLemma61:
 
 
 class TestFactorization:
-    def test_single_hook(self):
-        res = verify_count_factorization((2, 2), (1,), 3)
-        assert res.ok and res.direct == 1
-
-    def test_corner_example(self):
-        res = verify_count_factorization((2, 2), (), 1)
-        assert res.ok and res.direct == 2 and res.multinomial == 1
+    def test_worked_examples(self):
+        # one 3-hook of [2,2] leaves [1]; its four boxes come off in 2 orders
+        for lam2, m, count, direct in (((1,), 3, 1, 1), ((), 1, 4, 2)):
+            got = divisibility._predicted_count((2, 2), lam2, m, count, {})
+            assert got[:2] == (direct, 1)  # (prediction, multinomial)
+            assert sum(enumerate_hook_sequences((2, 2), m, count)[lam2]) == direct
 
     def test_sweep(self):
         for n in range(1, 11):
@@ -615,20 +611,15 @@ class TestPropPm1:
 
 class TestDivisibilityTheorem:
     def test_prime_case_example(self):
-        res = check_divisibility_theorem((2, 2), (4,), CombineConfig(2, 1))
-        assert res.hypothesis_holds and res.divides
+        res = theorem1_pipeline((2, 2), (4,), CombineConfig(2, 1))
+        assert res.certified and res.divides
 
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            check_divisibility_theorem((2, 1), (4,), CombineConfig(2, 1))
-
-    @pytest.mark.parametrize("check", [check_divisibility_theorem, theorem1_pipeline])
-    def test_size_mismatch_names_both_sizes_as_chi_does(self, check):
+    def test_size_mismatch_names_both_sizes_as_chi_does(self):
         message = "^lambda and mu must partition the same integer, got 3 and 4$"
         with pytest.raises(ValueError, match=message):
             chi((2, 1), (4,))
         with pytest.raises(ValueError, match=message):
-            check((2, 1), (4,), CombineConfig(2, 1))
+            theorem1_pipeline((2, 1), (4,), CombineConfig(2, 1))
 
     def test_constrained_tuple_count_bound(self):
         # tuples with some coordinate maxed number at most r*(R+1)^(r-1)

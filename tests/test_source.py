@@ -3,9 +3,11 @@
 Every name a module imports must be used in it, every private top-level
 name (`_x`, not a dunder) must be referenced somewhere in the package, only
 `VerifyReport` sets a verifier's tallies, no private function but
-`_same_size` checks a partition, every cache that lives as long as the
-process is named, with its bound, in `docs/formats.md`, every cache named
-there lives, and `cold_characters` empties every cache of `characters`.
+`_same_size` checks a partition, every public top-level function or class
+is read somewhere in the package or kept for a stated reason, every cache
+that lives as long as the process is named, with its bound, in
+`docs/formats.md`, every cache named there lives, and `cold_characters`
+empties every cache of `characters`.
 """
 
 import ast
@@ -81,6 +83,48 @@ def test_every_private_name_is_referenced():
         if name not in referenced
     ]
     assert not dead, f"private names nothing references: {dead}"
+
+
+# public names that no module but __init__.py reads, each with why it stays
+KEPT_PUBLIC = {
+    "to_partition": "acceptance criterion 2: the word-level Abacus API",
+    "hooks_of_length": "acceptance criterion 2: the word-level Abacus API",
+    "remove_border_strip": "acceptance criterion 2: the word-level Abacus API",
+    "hook_lengths": "acceptance criterion 2: the hook row of the worked example",
+    "carry_levels": "a bench/tracing.py target",
+    "skew_per_residue": "a bench/tracing.py target; the public m-quotient split",
+    "count_skew_syt": "a bench/tracing.py target",
+    "is_border_strip": "a bench/tracing.py target",
+    "iter_box_skews": "acceptance criterion 7: the skews of a box",
+    "verify_orthogonality": "acceptance criterion 1",
+    "theorem1_pipeline": "the per-pair certificate: reduce mu, then the core test",
+    "verify_prop_pm1": "one row of the same _prop_pm1 sweep as verify prop-pm1",
+    "degree": "the representation-theory name of count_syt",
+}
+
+
+def _public_top_level():
+    """(module, name) of every top-level def or class not named `_x`."""
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    yield module, node.name
+
+
+def test_every_public_name_is_read_or_kept_for_a_reason():
+    read = set().union(
+        *(_loaded_names(tree) for name, tree in TREES.items() if name != "__init__.py")
+    )
+    unread = sorted(
+        f"{module[:-3]}.{name}"
+        for module, name in _public_top_level()
+        if name not in read and name not in KEPT_PUBLIC
+    )
+    assert not unread, f"public names nothing but __init__.py reads: {unread}"
+    public = {name for _, name in _public_top_level()}
+    stale = sorted(name for name in KEPT_PUBLIC if name not in public or name in read)
+    assert not stale, f"KEPT_PUBLIC names that are gone or now read: {stale}"
 
 
 TALLIES = {"checked", "violated", "witness"}

@@ -29,6 +29,7 @@ from oracles import (
     brute_ppower_count,
     brute_restricted_count,
     delta_series_terms,
+    fp_expm1_product,
     fp_series,
     non_tcore_counts,
 )
@@ -233,6 +234,27 @@ class TestGeneratingFunction:
             residuals.append(float(mpmath.log(val) - lead))
         assert all(abs(x) < 10 for x in residuals)
 
+    @pytest.mark.parametrize("t", [1e10, 1e40, 1e44, 1e45, 1e100, 1e300, 1.7e308])
+    def test_large_t_keeps_every_digit(self, t):
+        # 1 - exp(-p**j/t) cancels about log10(t) digits
+        for p in (2, 3):
+            got = generating_function_fp(p, t)
+            with mpmath.workdps(30):
+                assert mpmath.nstr(got, 30) == mpmath.nstr(+fp_expm1_product(p, t), 30)
+
+    def test_too_much_work_is_refused_before_any(self, monkeypatch):
+        import charcore.stats as stats
+
+        def no_exp(*args):
+            raise AssertionError("evaluated a factor")
+
+        monkeypatch.setattr(stats.mpmath, "exp", no_exp)
+        # at t = 10 < 2**4 the factor bound is 11, so 30136 + 15 digits is the most
+        with pytest.raises(AssertionError, match="evaluated a factor"):
+            generating_function_fp(2, 10, dps=30136)
+        with pytest.raises(SizeCapError, match=r"got 11 times 30152\*\*2$"):
+            generating_function_fp(2, 10, dps=30137)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             generating_function_fp(2, 0)
@@ -293,6 +315,24 @@ class TestProp4:
             m_min = prop4_empirical(n, cfg, 1, 0).min_clearing_part
             assert exceeds_threshold(reps * m_min, n, cfg)
             assert m_min == 1 or not exceeds_threshold(reps * (m_min - 1), n, cfg)
+
+    @pytest.mark.parametrize(
+        "n, error, message",
+        [
+            (0, ValueError, "^n must be at least 1, got 0$"),
+            (-5, ValueError, "^n must be at least 1, got -5$"),
+            (5001, SizeCapError, "^sampling capped at n <= 5000, got 5001$"),
+        ],
+    )
+    def test_n_is_checked_before_the_threshold(self, monkeypatch, n, error, message):
+        import charcore.stats as stats
+
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(stats, "prop4_threshold", refuse)
+        with pytest.raises(error, match=message):
+            prop4_empirical(n, CombineConfig(2, 2), 10, 1)
 
     def test_empirical_deterministic(self):
         cfg = CombineConfig(2, 2)
