@@ -288,10 +288,9 @@ def enumerate_hook_sequences(
     """Count the ways to remove `count` hooks of length m, by target and sign.
 
     Each target maps to (even, odd), its sequences of sign +1 and of sign -1,
-    counted level by level over bead masks; a removal of odd height swaps the
-    pair.  Masks are read in the order first reached, so the targets come in
-    the order a depth-first walk meets them.  The work is the number of masks
-    reached, not the number of sequences.
+    from the last level of `_hook_groups`; a removal of odd height swaps the
+    pair.  Targets come in the order a depth-first walk meets them, and the
+    work is the number of masks reached, not the number of sequences.
     """
     lam = check_partition(lam)
     _check_m(m)
@@ -299,15 +298,8 @@ def enumerate_hook_sequences(
         raise ValueError(
             f"cannot remove {count} hooks of length {m} from a partition of {sum(lam)}"
         )
-    level = {_partition_mask(lam): (1, 0)}
-    for _ in range(count):
-        reached: dict[int, tuple[int, int]] = {}
-        for w, pair in level.items():
-            for _, height, smaller in strip_removals(w, m):
-                even, odd = pair[::-1] if height & 1 else pair
-                e, o = reached.get(smaller, (0, 0))
-                reached[smaller] = (e + even, o + odd)
-        level = reached
+    for _, _, _, level in _hook_groups((lam,), m, count):
+        pass  # each level replaces the one before, so only the last is held
     return {mask_partition(w): pair for w, pair in level.items()}
 
 
@@ -320,7 +312,12 @@ def epsilon(lam, lam2, m: int) -> int:
     order rank differently.  Raises UnreachableError when no sequence exists.
     """
     lam, lam2 = check_partition(lam), check_partition(lam2)
-    r1, r2 = _aligned_runners(_partition_mask(lam), _partition_mask(lam2), m)
+    return _epsilon(_partition_mask(lam), _partition_mask(lam2), m)
+
+
+def _epsilon(w: int, w2: int, m: int) -> int:
+    """`epsilon` on bead masks."""
+    r1, r2 = _aligned_runners(w, w2, m)
     return -1 if _crossings(r1) ^ _crossings(r2) else 1
 
 
@@ -346,14 +343,14 @@ def _multinomial(total: int, parts: Iterable[int]) -> int:
     return out
 
 
-def _predicted_count(lam, lam2, m: int, count: int, memo: dict):
-    """Ordered removals of `count` m-hooks from lam down to lam2, predicted.
+def _predicted_count(w: int, w2: int, m: int, count: int, memo: dict):
+    """Ordered removals of `count` m-hooks from bead mask w down to w2, predicted.
 
     The count factors as a multinomial over residues times the per-residue
     filling counts, from `memo`; returns (prediction, multinomial, fillings,
-    sizes), with fillings and sizes for the runners of lam that hold beads.
+    sizes), with fillings and sizes for the runners of w that hold beads.
     """
-    skews = _residue_skews(_partition_mask(lam), _partition_mask(lam2), m).values()
+    skews = _residue_skews(w, w2, m).values()
     sizes = tuple(sum(outer) - sum(inner) for outer, inner in skews)
     assert sum(sizes) == count
     multinomial = _multinomial(count, sizes)
@@ -361,13 +358,22 @@ def _predicted_count(lam, lam2, m: int, count: int, memo: dict):
     return multinomial * prod(fillings), multinomial, fillings, sizes
 
 
-def _hook_groups(n: int, m: int, max_hooks: int):
-    """(lam, count, target, (even, odd)) per row of size n and count <= max_hooks."""
+def _hook_groups(rows: Iterable[Partition], m: int, max_hooks: int):
+    """(lam, its bead mask, count, {target mask: (even, odd)}) per row and count
+    up to max_hooks, in one walk per row: each level is reached from the last."""
     _check_m(m)
-    for lam in partitions_of(n):
-        for count in range(1, min(max_hooks, n // m) + 1):
-            for lam2, pair in enumerate_hook_sequences(lam, m, count).items():
-                yield lam, count, lam2, pair
+    for lam in rows:
+        w = _partition_mask(lam)
+        level = {w: (1, 0)}
+        for count in range(1, min(max_hooks, sum(lam) // m) + 1):
+            reached: dict[int, tuple[int, int]] = {}
+            for v, pair in level.items():
+                for _, height, smaller in strip_removals(v, m):
+                    even, odd = pair[::-1] if height & 1 else pair
+                    e, o = reached.get(smaller, (0, 0))
+                    reached[smaller] = (e + even, o + odd)
+            level = reached
+            yield lam, w, count, level
 
 
 def verify_lemma61(n: int, m: int, max_hooks: int) -> VerifyReport:
@@ -376,17 +382,18 @@ def verify_lemma61(n: int, m: int, max_hooks: int) -> VerifyReport:
     Also cross-checks the sign `epsilon` computes against each group.
     """
     report = VerifyReport("lemma61", {"n": n, "m": m, "max_hooks": max_hooks})
-    for lam, _, lam2, (even, odd) in _hook_groups(n, m, max_hooks):
-        signs = [-1] * bool(odd) + [1] * bool(even)
-        report.check(
-            len(signs) == 1 and epsilon(lam, lam2, m) in signs,
-            lambda: {
-                "lambda": format_partition(lam),
-                "lambda2": format_partition(lam2),
-                "m": m,
-                "signs": signs,
-            },
-        )
+    for lam, w, _, level in _hook_groups(partitions_of(n), m, max_hooks):
+        for w2, (even, odd) in level.items():
+            signs = [-1] * bool(odd) + [1] * bool(even)
+            report.check(
+                len(signs) == 1 and _epsilon(w, w2, m) in signs,
+                lambda: {
+                    "lambda": format_partition(lam),
+                    "lambda2": format_partition(mask_partition(w2)),
+                    "m": m,
+                    "signs": signs,
+                },
+            )
     return report
 
 
@@ -394,18 +401,19 @@ def verify_factorization(n: int, m: int, max_hooks: int) -> VerifyReport:
     """Exhaust the counting identity over all reachable pairs at size n."""
     report = VerifyReport("factorization", {"n": n, "m": m, "max_hooks": max_hooks})
     memo: dict = {}
-    for lam, count, lam2, pair in _hook_groups(n, m, max_hooks):
-        predicted = _predicted_count(lam, lam2, m, count, memo)[0]
-        report.check(
-            sum(pair) == predicted,
-            lambda: {
-                "lambda": format_partition(lam),
-                "lambda2": format_partition(lam2),
-                "m": m,
-                "direct": sum(pair),
-                "predicted": predicted,
-            },
-        )
+    for lam, w, count, level in _hook_groups(partitions_of(n), m, max_hooks):
+        for w2, pair in level.items():
+            predicted = _predicted_count(w, w2, m, count, memo)[0]
+            report.check(
+                sum(pair) == predicted,
+                lambda: {
+                    "lambda": format_partition(lam),
+                    "lambda2": format_partition(mask_partition(w2)),
+                    "m": m,
+                    "direct": sum(pair),
+                    "predicted": predicted,
+                },
+            )
     return report
 
 

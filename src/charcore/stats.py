@@ -236,6 +236,8 @@ def generating_function_fp(p: int, t, dps: int = 30):
     log10(t) digits, so past t = 2**40 they are added to the 15 guard digits.
     Tested against the truncated series `fp_series` in `tests/oracles.py`.
     """
+    if dps < 1:
+        raise ValueError(f"dps must be at least 1, got {dps}")
     check_prime(p)
     tt = mpmath.mpf(t)
     if not (mpmath.isfinite(tt) and tt > 0):

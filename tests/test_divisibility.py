@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 import charcore.characters as characters
 import charcore.divisibility as divisibility
 import oracles
-from charcore.abacus import bead_mask, from_partition, hook_length_mask, is_tcore, tcore
+from charcore.abacus import (
+    _partition_mask,
+    bead_mask,
+    from_partition,
+    hook_length_mask,
+    is_tcore,
+    mask_partition,
+    tcore,
+)
 from charcore.characters import chi
 from charcore.divisibility import (
     CombineConfig,
@@ -352,6 +360,27 @@ def test_m_below_one_rejected(name, m):
         M_CHECKS[name](m)
 
 
+WALKS = {
+    "factorization": (lambda: verify_factorization(16, 2, 4), 2888),
+    "lemma61": (lambda: verify_lemma61(18, 2, 3), 3227),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_each_row_is_walked_once(name, monkeypatch):
+    # one strip scan per mask reached in each row's single walk
+    sweep, scans = WALKS[name]
+    calls, real = [], divisibility.strip_removals
+
+    def spy(w, t):
+        calls.append(w)
+        return real(w, t)
+
+    monkeypatch.setattr(divisibility, "strip_removals", spy)
+    assert sweep().ok
+    assert len(calls) == scans
+
+
 class TestEpsilon:
     def test_identity(self):
         assert epsilon((3, 1), (3, 1), 2) == 1
@@ -402,21 +431,22 @@ class TestEpsilon:
         m = 10**6
         start = time.process_time()
         assert epsilon((5, 3, 1), (5, 3, 1), m) == 1
-        assert divisibility._predicted_count((m + 2, 1), (2, 1), m, 1, {})[0] == 1
+        w, w2 = _partition_mask((m + 2, 1)), _partition_mask((2, 1))
+        assert divisibility._predicted_count(w, w2, m, 1, {})[0] == 1
         assert time.process_time() - start < 0.1
 
 
 class TestLemma61:
     def test_mixed_signs_are_a_violation_with_both_signs(self, monkeypatch):
-        sequences = divisibility.enumerate_hook_sequences
+        walk = divisibility._hook_groups
 
-        def mixed(lam, m, count):
-            groups = sequences(lam, m, count)
-            if lam == (2, 2):
-                groups[(2, 1)] = (1, 1)
-            return groups
+        def mixed(rows, m, max_hooks):
+            for lam, w, count, level in walk(rows, m, max_hooks):
+                if lam == (2, 2):
+                    level[_partition_mask((2, 1))] = (1, 1)
+                yield lam, w, count, level
 
-        monkeypatch.setattr(divisibility, "enumerate_hook_sequences", mixed)
+        monkeypatch.setattr(divisibility, "_hook_groups", mixed)
         report = verify_lemma61(4, 1, 1)
         assert (report.checked, report.violated) == (6, 1)
         assert report.witness == {
@@ -424,7 +454,7 @@ class TestLemma61:
         }
 
     def test_a_sign_other_than_epsilon_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(divisibility, "epsilon", lambda lam, lam2, m: -1)
+        monkeypatch.setattr(divisibility, "_epsilon", lambda w, w2, m: -1)
         report = verify_lemma61(4, 1, 1)
         assert (report.checked, report.violated) == (0, 7)
         assert report.witness == {
@@ -436,7 +466,8 @@ class TestFactorization:
     def test_worked_examples(self):
         # one 3-hook of [2,2] leaves [1]; its four boxes come off in 2 orders
         for lam2, m, count, direct in (((1,), 3, 1, 1), ((), 1, 4, 2)):
-            got = divisibility._predicted_count((2, 2), lam2, m, count, {})
+            w, w2 = _partition_mask((2, 2)), _partition_mask(lam2)
+            got = divisibility._predicted_count(w, w2, m, count, {})
             assert got[:2] == (direct, 1)  # (prediction, multinomial)
             assert sum(enumerate_hook_sequences((2, 2), m, count)[lam2]) == direct
 
@@ -448,17 +479,21 @@ class TestFactorization:
 
     def test_prediction_matches_the_shape_oracle(self):
         for n, m in product(range(1, 13), (1, 2, 3)):
-            for lam, count, lam2, _ in divisibility._hook_groups(n, m, 4):
-                got = divisibility._predicted_count(lam, lam2, m, count, {})
-                assert got == predicted_count_via_shapes(lam, lam2, m, count)
+            for lam, w, count, level in divisibility._hook_groups(
+                partitions_of(n), m, 4
+            ):
+                for w2 in level:
+                    got = divisibility._predicted_count(w, w2, m, count, {})
+                    lam2 = mask_partition(w2)
+                    assert got == predicted_count_via_shapes(lam, lam2, m, count)
 
     def test_witness_is_the_first_of_two_failures(self, monkeypatch):
         real = divisibility._predicted_count
 
-        def one_more_at_three(lam, lam2, m, count, memo):
+        def one_more_at_three(w, w2, m, count, memo):
             # [4] and [3,1] each reach [3]
-            predicted, *rest = real(lam, lam2, m, count, memo)
-            return predicted + (lam2 == (3,)), *rest
+            predicted, *rest = real(w, w2, m, count, memo)
+            return predicted + (w2 == _partition_mask((3,))), *rest
 
         monkeypatch.setattr(divisibility, "_predicted_count", one_more_at_three)
         report = verify_factorization(4, 1, 1)

@@ -3,11 +3,12 @@
 Every name a module imports must be used in it, every private top-level
 name (`_x`, not a dunder) must be referenced somewhere in the package, only
 `VerifyReport` sets a verifier's tallies, no private function but
-`_same_size` checks a partition, every public top-level function or class
-is read somewhere in the package or kept for a stated reason, every cache
-that lives as long as the process is named, with its bound, in
-`docs/formats.md`, every cache named there lives, and `cold_characters`
-empties every cache of `characters`.
+`_same_size` checks a partition, only `_hook_groups` scans strips in
+`divisibility`, every public top-level function or class is read somewhere
+in the package or kept for a stated reason, every cache that lives as long
+as the process is named, with its bound, in `docs/formats.md`, every cache
+named there lives, and `cold_characters` empties every cache of
+`characters`.
 """
 
 import ast
@@ -100,6 +101,7 @@ KEPT_PUBLIC = {
     "theorem1_pipeline": "the per-pair certificate: reduce mu, then the core test",
     "verify_prop_pm1": "one row of the same _prop_pm1 sweep as verify prop-pm1",
     "degree": "the representation-theory name of count_syt",
+    "epsilon": "the paper's sign on partitions; the sweeps read _epsilon on masks",
 }
 
 
@@ -173,6 +175,17 @@ def test_private_functions_take_checked_partitions():
         for line in _calls_of(node, "check_partition")
     ]
     assert not checking, f"private functions that call check_partition: {checking}"
+
+
+def test_only_the_hook_walk_scans_strips_in_divisibility():
+    # one (even, odd) level loop: every other sweep reads `_hook_groups`
+    scanning = [
+        (node.name, line)
+        for node in TREES["divisibility.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name != "_hook_groups"
+        for line in _calls_of(node, "strip_removals")
+    ]
+    assert not scanning, f"divisibility functions that call strip_removals: {scanning}"
 
 
 CACHE_DECORATORS = {"cache", "lru_cache"}

@@ -261,6 +261,14 @@ class TestGeneratingFunction:
         with pytest.raises(ValueError):
             generating_function_fp(6, 1)
 
+    @pytest.mark.parametrize("dps", [0, -5, -40])
+    def test_dps_below_one_is_refused_before_any_mpmath_work(self, dps, monkeypatch):
+        import charcore.stats as stats
+
+        monkeypatch.setattr(stats, "mpmath", None)
+        with pytest.raises(ValueError, match=f"^dps must be at least 1, got {dps}$"):
+            generating_function_fp(2, 5, dps=dps)
+
 
 class TestProp4:
     def test_threshold_value(self):
