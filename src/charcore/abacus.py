@@ -64,10 +64,6 @@ class Hook:
     length: int
     height: int
 
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
 
 def _partition_mask(parts: Partition) -> int:
     """The bead mask of a checked partition: its beads sit at its beta-numbers."""

@@ -85,6 +85,7 @@ def chi(lam, mu) -> int:
     lam, mu = _same_size(lam, mu)
     if sum(mu) > CHI_CAP:
         raise SizeCapError(f"chi capped at n <= {CHI_CAP}, got {sum(mu)}")
+    # a walk of its own: through `_chi_values` point queries took 1.3-1.4x as long
     level = {_partition_mask(lam): 1}
     room = CHI_STATES - 1
     k = _head(mu)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
-from .characters import CharacterTable, build_table
+from .characters import build_table
 from .divisibility import CombineConfig, _carry_classes, check_power, check_prime
 from .errors import RangeError, SizeCapError
 from .partitions import (
@@ -62,14 +62,11 @@ class DensityReport:
         return asdict(self)
 
 
-def density_report(
-    n: int, k: int, table: CharacterTable | None = None
-) -> DensityReport:
+def density_report(n: int, k: int) -> DensityReport:
     """Scan the full table at size n; zero entries count as divisible."""
     if k < 1:
         raise ValueError("modulus must be positive")
-    if table is None:
-        table = build_table(n)
+    table = build_table(n)
     divisible = zero = pos = neg = 0
     for row in table.rows:
         for v in row:
@@ -228,7 +225,7 @@ def ppower_difference_check(p: int, r: int, s: int, k: int) -> BoundCheck:
     )
 
 
-def generating_function_fp(p: int, t, dps: int = 30):
+def generating_function_fp(p: int, t, dps: int):
     """Product form of the p-power partition generating function at e**(-1/t).
 
     Factors with p**j > 50*t are dropped; each is within exp(exp(-50)) of 1,
@@ -292,9 +289,9 @@ def exceeds_threshold(value: int, n: int, cfg: CombineConfig) -> bool:
     raise RuntimeError(f"cannot separate {value} from the threshold")
 
 
-def prop4_threshold(n: int, cfg: CombineConfig, dps: int = 50):
-    """The part-size threshold as a high-precision value (for reporting)."""
-    with mpmath.workdps(dps):
+def prop4_threshold(n: int, cfg: CombineConfig):
+    """The part-size threshold at 50 digits (for reporting)."""
+    with mpmath.workdps(50):
         return +_threshold(mpmath.mp, n, cfg)
 
 
@@ -401,12 +398,7 @@ def _series_floor(coeffs: list[int], z):
     return mpmath.mpf((acc >> drop, drop - bits))
 
 
-def lemma91_delta(
-    n: int,
-    cfg: CombineConfig,
-    L,
-    tail: float = 1e-6,
-) -> BoundCheck:
+def lemma91_delta(n: int, cfg: CombineConfig, L, tail: float) -> BoundCheck:
     """Numeric evaluation of the weighted deficiency sum Delta (report-only).
 
     What the value states, exactly:

@@ -6,8 +6,10 @@ that the package itself uses.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from itertools import permutations
+from math import factorial, prod
 from typing import NamedTuple
 
 import mpmath
@@ -125,6 +127,70 @@ def chi_walk(lam, mu):
                 reached[smaller] = reached.get(smaller, 0) + (-c if height & 1 else c)
         level = reached
     return sum(c * _degree_of_betas(_beads(w)) for w, c in level.items())
+
+
+def square_root_count(mu):
+    """Number of permutations h with h * h = g, for one g of cycle type mu.
+
+    The Frobenius-Schur count.  An m-cycle of g is the square of one m-cycle
+    of h when m is odd, or half the square of a 2m-cycle of h that pairs it
+    with another m-cycle, in m ways per pair.  With a parts of size m, k pairs
+    give a! / ((a - 2k)! k! 2**k) * m**k roots; when m is even every m-cycle
+    is paired, so only k = a/2 counts.
+    """
+    total = 1
+    for m, a in Counter(mu).items():
+        total *= sum(
+            factorial(a) // (factorial(a - 2 * k) * factorial(k) * 2**k) * m**k
+            for k in range(a // 2 + 1)
+            if m % 2 or 2 * k == a
+        )
+    return total
+
+
+def brute_square_root_count(mu):
+    """Number of permutations h of range(n) with h(h(i)) = g(i), by listing all
+    n! of them, for the g whose cycles are the runs of mu's parts in order."""
+    g, start = [], 0
+    for m in mu:
+        g += [start + (i + 1) % m for i in range(m)]
+        start += m
+    return sum(
+        all(h[h[i]] == gi for i, gi in enumerate(g)) for h in permutations(range(start))
+    )
+
+
+def table_identities(table):
+    """(identity, partition) of each identity a character table of S_n fails.
+
+    - "row norm", per row lam: sum_mu |C_mu| chi^lam(mu)**2 = n!;
+    - "column sum", per column mu: sum_lam chi^lam(mu) = square_root_count(mu),
+      since every representation of S_n is real;
+    - "regular character", per column mu != 1^n: sum_lam chi^lam(1^n)
+      chi^lam(mu) = 0.
+
+    Each costs O(p(n)**2) integer operations and needs no second engine.
+    """
+    n, parts = table.n, table.partitions
+    fact = factorial(n)
+    sizes = [
+        fact // prod(m**a * factorial(a) for m, a in Counter(mu).items())
+        for mu in parts
+    ]
+    failed = [
+        ("row norm", lam)
+        for lam, row in zip(parts, table.rows)
+        if sum(c * v * v for c, v in zip(sizes, row)) != fact
+    ]
+    columns = list(zip(*table.rows))
+    identity = parts.index((1,) * n)
+    degrees = columns[identity]
+    for mu, column in zip(parts, columns):
+        if sum(column) != square_root_count(mu):
+            failed.append(("column sum", mu))
+        if mu != parts[identity] and sum(d * v for d, v in zip(degrees, column)):
+            failed.append(("regular character", mu))
+    return failed
 
 
 def brute_skew_syt(outer, inner):
@@ -325,11 +391,16 @@ def delta_series_terms(coeffs, z):
     return acc
 
 
+def cells(shape):
+    """The (row, column) cells of a skew shape, row by row."""
+    return [(r, c) for r, (s, e) in enumerate(shape.row_spans()) for c in range(s, e)]
+
+
 def connected_components(shape):
     """Maximal edge-connected pieces of a skew shape, each as its own SkewShape."""
     from charcore.tableaux import SkewShape
 
-    remaining = set(shape.cells())
+    remaining = set(cells(shape))
     components = []
     while remaining:
         start = min(remaining)
@@ -373,10 +444,11 @@ def reduce_class_by_class(mu, cfg):
     (output, steps).
 
     Every class present is read from its p-free part upward and carried with
-    `_carry_pass`, whether or not any of its levels can carry; the steps come
+    `_carry_pass`, whether or not any of its levels can carry; the steps,
+    (part, count before, count after) per application of `combine_step`, come
     out by class, then level.
     """
-    from charcore.divisibility import ReductionStep, _carry_pass
+    from charcore.divisibility import _carry_pass
     from charcore.partitions import from_multiplicities, multiplicities
 
     mu = tuple(mu)
@@ -396,7 +468,7 @@ def reduce_class_by_class(mu, cfg):
         part = free
         for c in _carry_pass(levels, p, cfg.r):
             if c >= q:
-                steps += [ReductionStep(part, b, b - q) for b in range(c, q - 1, -q)]
+                steps += [(part, b, b - q) for b in range(c, q - 1, -q)]
             if c % q:
                 final[part] = c % q
             part *= p
@@ -587,8 +659,6 @@ def predicted_count_via_shapes(lam, lam2, m, count):
     `skew_per_residue` and `count_skew_syt`, with fillings and sizes for the
     residues of lam's beta-numbers, the runners that hold its beads.
     """
-    from math import prod
-
     from charcore.abacus import from_partition, skew_per_residue
     from charcore.tableaux import count_skew_syt
 

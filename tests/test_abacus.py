@@ -111,7 +111,7 @@ class TestHooks:
         hooks = hooks_of_length(from_partition(WORKED), 5)
         assert len(hooks) == 1
         (h,) = hooks
-        assert (h.start, h.end, h.height) == (4, 9, 1)
+        assert (h.start, h.length, h.height) == (4, 5, 1)
 
     def test_no_hook_longer_than_max(self):
         assert hooks_of_length(from_partition(WORKED), 12) == []

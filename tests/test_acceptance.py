@@ -164,13 +164,12 @@ DENSITY_FIXTURES = {
 }
 
 
-def test_criterion_10_density_regression(tables):
+def test_criterion_10_density_regression():
     with criterion(10, "density fixtures reproduced; mod-2 density grows 10 -> 22"):
         reports = {}
         for n in (10, 16, 22):
-            table = tables.get(n)
             for k in (2, 3, 4):
-                rep = density_report(n, k, table=table)
+                rep = density_report(n, k)
                 reports[(n, k)] = rep
                 got = (
                     rep.total,

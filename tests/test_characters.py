@@ -351,6 +351,30 @@ class TestTable:
         assert sorted(calls) == sorted(lam for k in range(10) for lam in partitions_of(k))
 
 
+class TestTableIdentities:
+    def test_square_root_count_matches_brute_force(self):
+        for n in range(8):
+            for mu in partitions_of(n):
+                expect = oracles.brute_square_root_count(mu)
+                assert oracles.square_root_count(mu) == expect, mu
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_table_meets_the_identities(self, tables, n):
+        assert oracles.table_identities(tables.get(n)) == []
+
+    def test_unsigned_conjugate_mirror_fails_the_column_sums(self, tables):
+        # a fill that copies each conjugate row without its sign (-1)**(n - len mu)
+        table = tables.get(12)
+        index = {lam: i for i, lam in enumerate(table.partitions)}
+        rows = list(table.rows)
+        for i, lam in enumerate(table.partitions):
+            if index[conjugate(lam)] > i:
+                rows[index[conjugate(lam)]] = rows[i]
+        failed = oracles.table_identities(CharacterTable(12, table.partitions, rows))
+        kinds = {kind for kind, _ in failed}
+        assert "column sum" in kinds and "row norm" not in kinds
+
+
 class TestOrthogonality:
     def test_centralizer_diagonal(self, tables):
         table = tables.get(4)

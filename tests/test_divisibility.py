@@ -133,61 +133,37 @@ class TestReduce:
     def test_carry_chain_example(self):
         trace = reduce_partition((1,) * 8, CombineConfig(2, 2))
         assert trace.output == (4, 4)
-        assert [(s.part, s.before, s.after) for s in trace.steps] == [
-            (1, 8, 4),
-            (1, 4, 0),
-            (2, 4, 0),
-        ]
+        assert reduce_class_by_class((1,) * 8, CombineConfig(2, 2)) == (
+            (4, 4),
+            ((1, 8, 4), (1, 4, 0), (2, 4, 0)),
+        )
 
     def test_two_carry_chains_in_one_class(self):
         # class 1 carries at sizes 1 and 8, so its steps come before class 3's
         mu = (8,) * 7 + (3,) * 4 + (2,) + (1,) * 5
-        trace = reduce_partition(mu, CombineConfig(2, 2))
-        assert [(s.part, s.before, s.after) for s in trace.steps] == [
-            (1, 5, 1),
-            (8, 7, 3),
-            (3, 4, 0),
-        ]
-        assert (trace.output, trace.steps) == reduce_class_by_class(
-            mu, CombineConfig(2, 2)
-        )
+        output, steps = reduce_class_by_class(mu, CombineConfig(2, 2))
+        assert steps == ((1, 5, 1), (8, 7, 3), (3, 4, 0))
+        assert reduce_partition(mu, CombineConfig(2, 2)).output == output
 
     def test_matches_class_by_class_oracle_exhaustive(self):
         # r = 1 (q = p) makes the most classes carry
         for cfg in CFGS + ONE_LEVEL_CFGS:
             for n in range(19):
                 for mu in partitions_of(n):
-                    trace = reduce_partition(mu, cfg)
-                    expect = reduce_class_by_class(mu, cfg)
-                    assert (trace.output, trace.steps) == expect
+                    expect, _ = reduce_class_by_class(mu, cfg)
+                    assert reduce_partition(mu, cfg).output == expect
 
     @settings(max_examples=300, deadline=None)
     @given(heavy_partitions(300), st.sampled_from(CFGS + ONE_LEVEL_CFGS))
     def test_matches_class_by_class_oracle_property(self, mu, cfg):
-        trace = reduce_partition(mu, cfg)
-        assert (trace.output, trace.steps) == reduce_class_by_class(mu, cfg)
-
-    def test_output_alone_builds_no_steps(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a ReductionStep was built")
-
-        monkeypatch.setattr(divisibility, "ReductionStep", refuse)
-        trace = reduce_partition((8,) * 7 + (3,) * 4 + (1,) * 5, CombineConfig(2, 2))
-        assert trace.output == (16, 16, 8, 8, 8, 6, 6, 2, 2, 1)
-        assert "steps" not in vars(trace)
-
-    def test_steps_are_built_once(self):
-        trace = reduce_partition((1,) * 8, CombineConfig(2, 2))
-        first = trace.steps
-        assert "steps" in vars(trace)
-        assert trace.steps is first
-        assert len(first) == 3
+        expect, _ = reduce_class_by_class(mu, cfg)
+        assert reduce_partition(mu, cfg).output == expect
 
     def test_carry_free_class_is_its_own_output(self):
         mu = (5, 5, 5, 3, 1)
         trace = reduce_partition(mu, CombineConfig(2, 2))
         assert trace.output is trace.input
-        assert trace.steps == ()
+        assert reduce_class_by_class(mu, CombineConfig(2, 2)) == (mu, ())
 
     def test_same_class_under_two_configs_gives_unequal_traces(self):
         # neither config carries, so only the recorded config tells them apart
@@ -758,8 +734,11 @@ class TestPipeline:
     def test_certificate_contents(self):
         cfg = CombineConfig(2, 2)
         res = theorem1_pipeline((3, 2, 1), (1,) * 6, cfg)
-        cert = res.certificate()
-        assert cert["mu_tilde"] == "[2,2,1,1]"
+        assert res.mu_tilde == (2, 2, 1, 1)
+        assert (res.sizes, res.core_lengths) == (None, None)
+        res = theorem1_pipeline((7, 4, 1), (1,) * 12, cfg)
+        assert res.certified and res.mu_tilde == (4, 4, 2, 2)
+        assert (res.sizes, res.core_lengths) == ((2, 4), (4, 8, 10, 12))
 
 
 class TestLemma81Sweep:

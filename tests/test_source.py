@@ -4,8 +4,10 @@ Every name a module imports must be used in it, every private top-level
 name (`_x`, not a dunder) must be referenced somewhere in the package, only
 `VerifyReport` sets a verifier's tallies, no private function but
 `_same_size` checks a partition, only `_hook_groups` scans strips in
-`divisibility`, every public top-level function or class is read somewhere
-in the package or kept for a stated reason, every cache that lives as long
+`divisibility`, every public top-level function or class and every public
+method or property of a top-level class is read somewhere in the package or
+kept for a stated reason, no public top-level function declares a parameter
+default unless kept for a stated reason, every cache that lives as long
 as the process is named, with its bound, in `docs/formats.md`, every cache
 named there lives, and `cold_characters` empties every cache of
 `characters`.
@@ -127,6 +129,139 @@ def test_every_public_name_is_read_or_kept_for_a_reason():
     public = {name for _, name in _public_top_level()}
     stale = sorted(name for name in KEPT_PUBLIC if name not in public or name in read)
     assert not stale, f"KEPT_PUBLIC names that are gone or now read: {stale}"
+
+
+# public methods and properties that no module but __init__.py reads as an
+# attribute, each with why it stays
+KEPT_MEMBERS = {
+    "VerifyReport.ok": "the acceptance criteria's verdict",
+}
+
+
+def _public_members(tree):
+    """(class, name, line) of every public method or property of a top-level class.
+
+    Dataclass fields are assignments, not defs, and dunders start with `_`, so
+    neither is listed.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name, item.lineno
+
+
+def test_member_finder_sees_each_kind():
+    source = """
+from dataclasses import dataclass
+from functools import cached_property
+
+@dataclass
+class A:
+    field: int = 0
+
+    def __str__(self):
+        return ""
+
+    def method(self):
+        return 1
+
+    @property
+    def prop(self):
+        return 2
+
+    @cached_property
+    def cached(self):
+        return 3
+
+    @staticmethod
+    def static():
+        return 4
+
+    def _private(self):
+        return 5
+
+def top():
+    class Inner:
+        def hidden(self):
+            return 6
+"""
+    found = {(c, n) for c, n, _ in _public_members(ast.parse(source))}
+    assert found == {("A", "method"), ("A", "prop"), ("A", "cached"), ("A", "static")}
+
+
+def test_every_public_member_is_read_or_kept_for_a_reason():
+    read = {
+        node.attr
+        for module, tree in TREES.items()
+        if module != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    members = {
+        f"{cls}.{name}": (module, name)
+        for module, tree in TREES.items()
+        for cls, name, _ in _public_members(tree)
+    }
+    unread = sorted(
+        f"{module[:-3]}.{key}"
+        for key, (module, name) in members.items()
+        if name not in read and key not in KEPT_MEMBERS
+    )
+    assert not unread, f"public members nothing but __init__.py reads: {unread}"
+    stale = sorted(
+        key for key in KEPT_MEMBERS if key not in members or members[key][1] in read
+    )
+    assert not stale, f"KEPT_MEMBERS entries that are gone or now read: {stale}"
+
+
+# public top-level functions that declare a parameter default, each with why
+KEPT_DEFAULTS = {
+    "cli.main": "argv=None: `python -m charcore` and the `charcore` script call "
+    "it bare, while bench/worker.py and the tests pass argv",
+}
+
+
+def _defaulted(tree):
+    """Name of every public top-level function that declares a parameter default."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            if args.defaults or any(d is not None for d in args.kw_defaults):
+                yield node.name
+
+
+def test_default_finder_sees_each_kind():
+    source = """
+def positional(a, b=1):
+    pass
+
+def keyword_only(a, *, b=1):
+    pass
+
+def required_keyword(a, *, b):
+    pass
+
+def _private(a=1):
+    pass
+
+class A:
+    def method(self, a=1):
+        pass
+"""
+    assert set(_defaulted(ast.parse(source))) == {"positional", "keyword_only"}
+
+
+def test_no_public_function_declares_a_default_unless_kept():
+    defaulted = {
+        f"{module[:-3]}.{name}"
+        for module, tree in TREES.items()
+        for name in _defaulted(tree)
+    }
+    extra = sorted(defaulted - KEPT_DEFAULTS.keys())
+    assert not extra, f"public functions that declare a parameter default: {extra}"
+    stale = sorted(KEPT_DEFAULTS.keys() - defaulted)
+    assert not stale, f"KEPT_DEFAULTS entries that are gone or take no default: {stale}"
 
 
 TALLIES = {"checked", "violated", "witness"}

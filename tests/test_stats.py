@@ -36,30 +36,30 @@ from oracles import (
 
 
 class TestDensity:
-    def test_n1(self, tables):
-        rep = density_report(1, 2, table=tables.get(1))
+    def test_n1(self):
+        rep = density_report(1, 2)
         assert (rep.total, rep.divisible, rep.nonzero_positive) == (1, 0, 1)
         assert rep.zero == 0 and rep.nonzero_negative == 0
 
-    def test_n3_mod2(self, tables):
-        rep = density_report(3, 2, table=tables.get(3))
+    def test_n3_mod2(self):
+        rep = density_report(3, 2)
         assert rep.divisible == 2  # the entries 2 and 0
         assert rep.total == 9
 
-    def test_counts_partition_total(self, tables):
+    def test_counts_partition_total(self):
         for n in (2, 5, 8):
             for k in (2, 3, 5):
-                rep = density_report(n, k, table=tables.get(n))
+                rep = density_report(n, k)
                 assert rep.zero + rep.nonzero_positive + rep.nonzero_negative == rep.total
                 assert rep.total == partition_count(n) ** 2
                 assert rep.divisible >= rep.zero
 
-    def test_modulus_validation(self, tables):
+    def test_modulus_validation(self):
         with pytest.raises(ValueError):
-            density_report(3, 0, table=tables.get(3))
+            density_report(3, 0)
 
     def test_takes_no_thread_count(self):
-        assert list(inspect.signature(density_report).parameters) == ["n", "k", "table"]
+        assert list(inspect.signature(density_report).parameters) == ["n", "k"]
 
 
 class TestNonTCores:
@@ -212,16 +212,16 @@ class TestPPowerDifference:
 
 class TestGeneratingFunction:
     def test_product_vs_series(self):
-        prod = generating_function_fp(2, 5)
+        prod = generating_function_fp(2, 5, dps=30)
         series = fp_series(2, 5)
         assert abs(prod - series) < mpmath.mpf("1e-10")
 
     def test_small_t_limit(self):
-        assert abs(generating_function_fp(2, "0.01") - 1) < mpmath.mpf("1e-12")
+        assert abs(generating_function_fp(2, "0.01", dps=30) - 1) < mpmath.mpf("1e-12")
 
     def test_other_primes(self):
         for p in (3, 5):
-            prod = generating_function_fp(p, 2.5)
+            prod = generating_function_fp(p, 2.5, dps=30)
             series = fp_series(p, 2.5)
             assert abs(prod - series) < mpmath.mpf("1e-10")
 
@@ -238,7 +238,7 @@ class TestGeneratingFunction:
     def test_large_t_keeps_every_digit(self, t):
         # 1 - exp(-p**j/t) cancels about log10(t) digits
         for p in (2, 3):
-            got = generating_function_fp(p, t)
+            got = generating_function_fp(p, t, dps=30)
             with mpmath.workdps(30):
                 assert mpmath.nstr(got, 30) == mpmath.nstr(+fp_expm1_product(p, t), 30)
 
@@ -257,9 +257,9 @@ class TestGeneratingFunction:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generating_function_fp(2, 0)
+            generating_function_fp(2, 0, dps=30)
         with pytest.raises(ValueError):
-            generating_function_fp(6, 1)
+            generating_function_fp(6, 1, dps=30)
 
     @pytest.mark.parametrize("dps", [0, -5, -40])
     def test_dps_below_one_is_refused_before_any_mpmath_work(self, dps, monkeypatch):
@@ -273,7 +273,7 @@ class TestGeneratingFunction:
 class TestProp4:
     def test_threshold_value(self):
         cfg = CombineConfig(2, 2)
-        thr = prop4_threshold(10**4, cfg, dps=30)
+        thr = prop4_threshold(10**4, cfg)
         expect = (
             (1 + mpmath.mpf(1) / 24)
             * mpmath.sqrt(6)
@@ -372,7 +372,7 @@ class TestLemma91Delta:
     def test_range_error(self):
         cfg = CombineConfig(2, 2)
         with pytest.raises(RangeError):
-            lemma91_delta(10**6, cfg, 1.0)
+            lemma91_delta(10**6, cfg, 1.0, tail=1e-6)
 
     def test_wide_window_is_refused_before_the_first_ell(self, monkeypatch):
         import charcore.stats as stats
@@ -384,7 +384,7 @@ class TestLemma91Delta:
         cfg = CombineConfig(2, 2)
         n = 10**12  # 97,462 values of l, a window of 194,923
         with pytest.raises(SizeCapError, match="got 194923"):
-            lemma91_delta(n, cfg, self._in_range_L(n, cfg))
+            lemma91_delta(n, cfg, self._in_range_L(n, cfg), tail=1e-6)
 
     def test_too_many_terms_are_refused_before_the_first_ell(self, monkeypatch):
         import time
@@ -400,7 +400,7 @@ class TestLemma91Delta:
         start = time.process_time()
         match = "got 18180 values of l times k_truncation 32768"
         with pytest.raises(SizeCapError, match=match):
-            lemma91_delta(n, cfg, self._in_range_L(n, cfg))
+            lemma91_delta(n, cfg, self._in_range_L(n, cfg), tail=1e-6)
         assert time.process_time() - start < 1
 
 

@@ -21,6 +21,7 @@ from charcore.tableaux import (
 from oracles import (
     aitken_count,
     brute_skew_syt,
+    cells,
     connected_components,
     lr_coefficient,
     verify_lr_expansion,
@@ -60,7 +61,7 @@ class TestSkewShape:
             SkewShape((2,), (1, 1))
 
     def test_cells(self):
-        assert SkewShape((2, 2), (1,)).cells() == [(0, 1), (1, 0), (1, 1)]
+        assert cells(SkewShape((2, 2), (1,))) == [(0, 1), (1, 0), (1, 1)]
 
 
 class TestBorderStrip:
@@ -89,10 +90,10 @@ class TestBorderStrip:
                         ):
                             continue
                         shape = SkewShape(outer, inner)
-                        cells = set(shape.cells())
+                        filled = set(cells(shape))
                         square = any(
-                            {(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells
-                            for r, c in cells
+                            {(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= filled
+                            for r, c in filled
                         )
                         expected = len(connected_components(shape)) == 1 and not square
                         assert is_border_strip(shape) == expected, str(shape)
