@@ -64,7 +64,7 @@ def _report_out(report, fmt: str, out) -> int:
     else:
         csv_keys = ("lemma", "checked", "skipped", "violated")
         _write_record({k: d[k] for k in csv_keys} if fmt == "csv" else d, fmt, out)
-    return 0 if d["violated"] == 0 else 1
+    return 0 if report.ok else 1
 
 
 def _add_partition_arg(parser, flag: str, dest: str):

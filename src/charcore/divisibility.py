@@ -103,19 +103,21 @@ def combine_step(mu, m: int, cfg: CombineConfig) -> Partition:
     return from_multiplicities(counts)
 
 
-def _carry_pass(levels: Sequence[int], p: int, r: int) -> list[int]:
-    """The combining rule along one p-free class, multiplicities lowest level first.
+def carry_levels(levels: Sequence[int], cfg: CombineConfig) -> list[int]:
+    """Run the rewrite along one p-free class: multiplicities by level, lowest first.
 
-    Returns each level's count after the carries from below arrive: a level
-    holding c parts trades p**r of them for p**(r-1) at the next level up,
-    c // p**r times, and keeps c % p**r.
+    One pass from the lowest level up: a level holding c parts keeps c % p**r
+    and sends p**(r-1) * (c // p**r) parts to the next level, opening one
+    past the top if needed.  Every count is then below p**r, so the result
+    is the fixpoint.  A negative multiplicity is refused before any work.
     """
-    q = p**r
-    keep = p ** (r - 1)
     arr = list(levels)
+    if arr and min(arr) < 0:
+        raise ValueError(f"multiplicities must be nonnegative, got {min(arr)}")
+    q, keep = cfg.q, cfg.p ** (cfg.r - 1)
     j = 0
     while j < len(arr):
-        t = arr[j] // q
+        t, arr[j] = divmod(arr[j], q)
         if t:
             if j + 1 == len(arr):
                 arr.append(0)
@@ -124,23 +126,13 @@ def _carry_pass(levels: Sequence[int], p: int, r: int) -> list[int]:
     return arr
 
 
-def carry_levels(levels: Sequence[int], p: int, r: int) -> list[int]:
-    """Run the rewrite along one p-free class: multiplicities by level, lowest first.
-
-    Whenever a level holds at least p**r parts, p**r of them are traded for
-    p**(r-1) at the next level up; the result is the fixpoint.
-    """
-    q = p**r
-    return [c % q for c in _carry_pass(levels, p, r)]
-
-
 def _carry_classes(counts: dict[int, int], cfg: CombineConfig) -> bool:
     """Carry `counts` (size -> multiplicity) to the fixpoint, in place.
 
     Each p-free class holding a size with at least p**r parts is carried
-    once, upward from its base b (b, p*b, p**2*b, ...), by `_carry_pass`, and
-    every count of the class is left below p**r.  Returns whether any class
-    was carried.  The fixpoint does not depend on the rewrite order.
+    once, upward from its base b (b, p*b, p**2*b, ...), by `carry_levels`.
+    Returns whether any class was carried.  The fixpoint does not depend on
+    the rewrite order.
     """
     p, q = cfg.p, cfg.q
     bases = set()
@@ -156,8 +148,8 @@ def _carry_classes(counts: dict[int, int], cfg: CombineConfig) -> bool:
             levels.append(counts.get(part, 0))
             part *= p
         part = base
-        for c in _carry_pass(levels, p, cfg.r):
-            counts[part] = c % q
+        for c in carry_levels(levels, cfg):
+            counts[part] = c
             part *= p
     return bool(bases)
 

@@ -143,13 +143,17 @@ def ppower_count_restricted(p: int, r: int, s: int, k: int) -> int:
     A partition counts when the fixpoint of the combining rewrite has fewer
     than p**(r-1) parts of size p**j for every j >= s.  Read off the carry DP.
     """
+    if k > RESTRICTED_CAP:
+        _check_restricted(p, r, s, k)  # a bad p, r, s or k is named before the cap
+        raise SizeCapError(f"capped at k <= {RESTRICTED_CAP}, got {k}")
+    return restricted_counts_table(p, r, s, k)[k]
+
+
+def _check_restricted(p: int, r: int, s: int, k: int) -> None:
+    """Raise unless p is prime, r is positive and s and k are nonnegative."""
     check_prime(p)
     if r < 1 or s < 0 or k < 0:
         raise ValueError("r must be positive and s, k nonnegative")
-    if k > RESTRICTED_CAP:
-        raise SizeCapError(f"capped at k <= {RESTRICTED_CAP}, got {k}")
-    check_power(p, r)
-    return restricted_counts_table(p, r, s, k)[k]
 
 
 def restricted_counts_table(p: int, r: int, s: int, kmax: int) -> list[int]:
@@ -162,6 +166,8 @@ def restricted_counts_table(p: int, r: int, s: int, kmax: int) -> list[int]:
     multiplicity-vector enumeration `brute_restricted_count` in
     `tests/oracles.py`.
     """
+    _check_restricted(p, r, s, kmax)
+    check_power(p, r)
     q = p**r
     keep = p ** (r - 1)
     # buckets[w] maps carry -> number of ways, for the current level

@@ -443,16 +443,15 @@ def reduce_class_by_class(mu, cfg):
     """`reduce_partition` one p-free class at a time, lowest class first, as
     (output, steps).
 
-    Every class present is read from its p-free part upward and carried with
-    `_carry_pass`, whether or not any of its levels can carry; the steps,
-    (part, count before, count after) per application of `combine_step`, come
-    out by class, then level.
+    Every class present is read from its p-free part upward and carried by
+    its own loop, not the library's `carry_levels`, whether or not any of its
+    levels can carry; the steps, (part, count before, count after) per
+    application of `combine_step`, come out by class, then level.
     """
-    from charcore.divisibility import _carry_pass
     from charcore.partitions import from_multiplicities, multiplicities
 
     mu = tuple(mu)
-    p, q = cfg.p, cfg.q
+    p, q, keep = cfg.p, cfg.q, cfg.p ** (cfg.r - 1)
     classes = {}
     for m, a in multiplicities(mu).items():
         free, level = m, 0
@@ -464,14 +463,17 @@ def reduce_class_by_class(mu, cfg):
     steps = []
     for free in sorted(classes):
         by_level = classes[free]
-        levels = [by_level.get(j, 0) for j in range(max(by_level) + 1)]
-        part = free
-        for c in _carry_pass(levels, p, cfg.r):
+        top = max(by_level)
+        part, level, carried = free, 0, 0
+        while level <= top or carried:
+            c = by_level.get(level, 0) + carried
             if c >= q:
                 steps += [(part, b, b - q) for b in range(c, q - 1, -q)]
             if c % q:
                 final[part] = c % q
+            carried = keep * (c // q)
             part *= p
+            level += 1
     return from_multiplicities(final), tuple(steps)
 
 

@@ -3,7 +3,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import charcore.characters as characters
 import charcore.divisibility as divisibility
@@ -209,20 +209,63 @@ class TestReduce:
         cfg = CombineConfig(2, 2)
         assert random_order_reduce(mu, cfg, rng) == reduce_partition(mu, cfg).output
 
-    def test_carry_levels_matches_trace(self):
-        # pure power-of-two inputs exercise a single carry class
-        cfg = CombineConfig(2, 2)
-        for levels in [(8,), (5, 3, 1), (4, 4), (9, 2, 2), (16, 1)]:
-            mu = tuple(
-                sorted(
-                    (2**j for j, a in enumerate(levels) for _ in range(a)),
-                    reverse=True,
-                )
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), max_size=5),
+        st.sampled_from(CFGS + ONE_LEVEL_CFGS),
+        st.randoms(use_true_random=False),
+    )
+    @example([8], CombineConfig(2, 2), random.Random(0))  # opens two levels
+    @example([], CombineConfig(2, 2), random.Random(0))
+    def test_carry_levels_is_the_combine_step_fixpoint(self, levels, cfg, rng):
+        # levels j of the class of 1 hold parts of size p**j; the fixpoint of
+        # repeated combine_step, in a random order, needs no carry loop
+        mu = tuple(
+            sorted(
+                (cfg.p**j for j, a in enumerate(levels) for _ in range(a)),
+                reverse=True,
             )
-            out = reduce_partition(mu, cfg).output
-            reduced = carry_levels(list(levels), 2, 2)
-            expect = {2**j: a for j, a in enumerate(reduced) if a}
-            assert multiplicities(out) == expect
+        )
+        expect = multiplicities(random_order_reduce(mu, cfg, rng))
+        reduced = carry_levels(levels, cfg)
+        assert {cfg.p**j: a for j, a in enumerate(reduced) if a} == expect
+        assert len(reduced) >= len(levels)
+
+    def test_carry_levels_refuses_a_negative_multiplicity_at_once(self):
+        # a negative count would carry -1s upward for ever
+        import signal
+
+        def stop(signum, frame):
+            raise TimeoutError("carry_levels took more than 1 s")
+
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            for levels in ([-5], [3, -1, 4]):
+                with pytest.raises(ValueError, match="nonnegative, got"):
+                    carry_levels(levels, CombineConfig(2, 2))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_library_reductions_carry_through_carry_levels(self, monkeypatch):
+        from charcore.stats import prop4_empirical
+
+        calls = []
+        real = divisibility.carry_levels
+
+        def counted(levels, cfg):
+            calls.append(len(levels))
+            return real(levels, cfg)
+
+        monkeypatch.setattr(divisibility, "carry_levels", counted)
+        cfg = CombineConfig(2, 2)
+        assert reduce_partition((1,) * 8, cfg).output == (4, 4)
+        assert len(calls) == 1
+        prop4_empirical(60, cfg, 5, 1)
+        assert len(calls) > 1
+        assert theorem1_pipeline((2, 1, 1), (1, 1, 1, 1), cfg).mu_tilde == (2, 2)
+        assert len(calls) > 2
 
 
 class TestCombineCongruence:

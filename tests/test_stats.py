@@ -24,6 +24,7 @@ from charcore.stats import (
     ppower_difference_check,
     prop4_empirical,
     prop4_threshold,
+    restricted_counts_table,
 )
 from oracles import (
     brute_ppower_count,
@@ -162,7 +163,7 @@ class TestRestrictedCounts:
                 used = sum(a * p**i for i, a in zip(range(1, s), choice))
                 levels = [k - used] + list(choice)
                 assert levels[0] >= 0
-                reduced = carry_levels(levels, p, r)
+                reduced = carry_levels(levels, CombineConfig(p, r))
                 keep = p ** (r - 1)
                 assert any(a >= keep for a in reduced[s:]), (s, choice)
                 bound_hit += 1
@@ -172,10 +173,37 @@ class TestRestrictedCounts:
         with pytest.raises(SizeCapError):
             ppower_count_restricted(2, 2, 2, 2001)
 
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((4, 1, 0, 5), ValueError, "p must be prime, got 4"),
+            ((2, 0, 0, 5), ValueError, "r must be positive"),
+            ((2, 1, -1, 5), ValueError, "s, k nonnegative"),
+            ((2, 1, 0, -1), ValueError, "s, k nonnegative"),
+            ((2, 10**5, 0, 5), SizeCapError, "4300 decimal digits"),
+        ],
+    )
+    def test_table_refuses_a_bad_input(self, args, error, message):
+        with pytest.raises(error, match=message):
+            restricted_counts_table(*args)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((4, 1, 0, 2001), ValueError, "p must be prime, got 4"),
+            ((2, 0, 0, 2001), ValueError, "r must be positive"),
+            ((2, 1, -1, 2001), ValueError, "s, k nonnegative"),
+            # past the cap, the cap is named before an over-long p**r
+            ((2, 10**5, 0, 2001), SizeCapError, "capped at k <= 2000"),
+            ((2, 10**5, 0, 5), SizeCapError, "4300 decimal digits"),
+        ],
+    )
+    def test_count_names_the_first_bad_input(self, args, error, message):
+        with pytest.raises(error, match=message):
+            ppower_count_restricted(*args)
+
     def test_bulk_table_matches_enumeration(self):
         # the carry-tracking pass and the materialized enumeration must agree
-        from charcore.stats import restricted_counts_table
-
         for p, r in ((2, 2), (3, 2), (2, 3)):
             for s in range(4):
                 table = restricted_counts_table(p, r, s, 48)
