@@ -324,8 +324,9 @@ def write_table_csv(table: CharacterTable, out: IO[str]) -> None:
     """CSV export: header row of class cycle types, first column the row label."""
     labels = [format_partition(mu) for mu in table.partitions]
     out.write("partition," + ",".join(labels) + "\n")
+    fmt = ",%d" * len(labels) + "\n"
     for lam, row in zip(table.partitions, table.rows):
-        out.write(format_partition(lam) + "," + ",".join(map(str, row)) + "\n")
+        out.write(format_partition(lam) + fmt % row)
 
 
 def write_table_json(table: CharacterTable, out: IO[str]) -> None:

@@ -201,8 +201,9 @@ def _cmd_table(args, out) -> int:
         characters.write_table_json(table, out)
         out.write("\n")
     else:
+        fmt = ": " + " ".join(["%d"] * len(table.partitions)) + "\n"
         for lam, row in zip(table.partitions, table.rows):
-            out.write(format_partition(lam) + ": " + " ".join(map(str, row)) + "\n")
+            out.write(format_partition(lam) + fmt % row)
     return 0
 
 

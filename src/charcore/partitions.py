@@ -155,41 +155,63 @@ def from_multiplicities(mult: Mapping[int, int]) -> Partition:
     return tuple(parts)
 
 
-_bounded: list[tuple[int, ...]] = [(1,)]
+_bounded: list[list[int]] = [[1]]
 _pprefix = [0]  # _pprefix[t] = p(0) + ... + p(t - 1)
+_WIDTH_STEP = 64  # rows are built and widened this many entries at a time
 
 
-def _bounded_counts(n: int) -> list[tuple[int, ...]]:
+def _bounded_counts(n: int) -> list[list[int]]:
     """Rows 0..n of `_bounded`, and `_pprefix` up to t = n.  Row k holds entry
-    m for m <= k // 2 only: the partitions of k into parts <= m.  Past k // 2,
-    a partition of k with a part j > m is j plus any partition of k - j, so
-    they number _pprefix[k - m] and the entry is p(k) minus that
-    (`_bounded_entry`).  Each row is an exact-size tuple filled in C-level
-    passes.  Quadratic in n: a process holding it is about 69 MB at n = 2000,
-    155 MB at 3000."""
+    m, the partitions of k into parts <= m, for m <= min(k // 2, W) only, with
+    W = len(_bounded[-1]) - 1 the width every row shares: at least
+    _WIDTH_STEP, and wider only as far as a draw has needed (`_widen`).  Past
+    k // 2, a partition of k with a part j > m is j plus any partition of
+    k - j, so they number _pprefix[k - m] and the entry is p(k) minus that
+    (`_bounded_entry`).  So the table holds about n * W integers: W = 448 after
+    1,000 draws at n = 2000, where half rows would be n**2 / 4."""
     partition_count(n)
     while len(_pprefix) <= n:
         _pprefix.append(_pprefix[-1] + _pcount[len(_pprefix) - 1])
-    while len(_bounded) <= n:
-        k = len(_bounded)
-        third, half = k // 3, k // 2
-        # partitions of k with largest part j: row k - j's entry j for 3j <= k,
-        # else p(k - j) - _pprefix[k - 2j], for j = 1, ..., k // 2
-        terms = chain(
-            map(getitem, _bounded[k - 1 : k - third - 1 : -1], range(1, third + 1)),
-            map(
-                sub,
-                reversed(_pcount[k - half : k - third]),
-                reversed(_pprefix[k % 2 : k - 2 * third - 1 : 2]),
-            ),
-        )
-        _bounded.append(tuple(accumulate(terms, initial=0)))
+    width = max(len(_bounded[-1]) - 1, _WIDTH_STEP)
+    for k in range(len(_bounded), n + 1):
+        row = [0]
+        _extend_row(k, row, min(k // 2, width))
+        _bounded.append(row)
     return _bounded
+
+
+def _extend_row(k: int, row: list[int], hi: int) -> None:
+    """Append to row k its entries len(row), ..., hi, in C-level passes.
+
+    Partitions of k with largest part j number row k - j's entry j for
+    3j <= k, else p(k - j) - _pprefix[k - 2j]; rows below k must be at least
+    min(k // 3, hi) wide.
+    """
+    lo, third = len(row), k // 3
+    mid, past = min(hi, third), max(lo, third + 1)
+    terms = chain(
+        map(getitem, _bounded[k - lo : k - mid - 1 : -1], range(lo, mid + 1)),
+        map(
+            sub,
+            reversed(_pcount[k - hi : k - past + 1]),
+            reversed(_pprefix[k - 2 * hi : k - 2 * past + 1 : 2]),
+        ),
+    )
+    row.extend(accumulate(terms, initial=row.pop()))
+
+
+def _widen(width: int) -> None:
+    """Widen every row k of `_bounded` to its entries m <= min(k // 2, width),
+    in increasing k, so that each row reads rows already widened."""
+    for k in range(2 * len(_bounded[-1]), len(_bounded)):  # the rows with k // 2 > W
+        _extend_row(k, _bounded[k], min(k // 2, width))
 
 
 def _bounded_entry(k: int, m: int) -> int:
     """Partitions of k into parts <= m (0 <= m <= k), once row k is built."""
     row = _bounded[k]
+    if len(row) <= m <= k // 2:  # not stored yet, and the p formula is wrong here
+        _widen(m)
     return row[m] if m < len(row) else _pcount[k] - _pprefix[k - m]
 
 
@@ -211,9 +233,11 @@ def sample_uniform(n: int, rng_seed: int) -> Partition:
 
     Picks each successive largest part m at one integer draw, as the least m
     whose count of partitions of the remainder into parts <= m reaches the
-    draw: a bisection of the stored half row, or of the prefix sums of p for
-    m above it.  O(log n) per part, the output a pure function of
-    (n, rng_seed).  The table is quadratic in n.
+    draw: a bisection of the stored row, or of the prefix sums of p for m
+    past the half row.  A part past the stored width widens the table first,
+    and once the bound is 1 the parts left are 1s without a draw.  O(log n)
+    per part, the output a pure function of (n, rng_seed).  The table holds
+    about n * W integers for the width W the draws have needed.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -224,16 +248,22 @@ def sample_uniform(n: int, rng_seed: int) -> Partition:
     parts: list[int] = []
     remaining, bound = n, n
     while remaining:
-        row = table[remaining]
         b = min(bound, remaining)
+        if b == 1:  # every part left is 1, and nothing is drawn after them
+            parts += [1] * remaining
+            break
+        row = table[remaining]
         count = _bounded_entry(remaining, b)
         # the least m with _bounded_entry(remaining, m) >= target
         target = count - rng.randrange(count)
         top = min(b, len(row) - 1)
+        while row[top] < target and top < remaining // 2:
+            _widen(top + _WIDTH_STEP)  # the part is past the stored width
+            top = min(b, len(row) - 1)
         if row[top] >= target:
             m = bisect_left(row, target, 1, top + 1)
         else:
-            # past the stored half the count is p(remaining) - _pprefix[t] with
+            # past the half row the count is p(remaining) - _pprefix[t] with
             # t = remaining - m: take the largest t with _pprefix[t] <= v
             v = _pcount[remaining] - target
             t = bisect_right(_pprefix, v, remaining - b, remaining - top) - 1

@@ -29,8 +29,8 @@ from .partitions import (
 PPOWER_CAP = 10**5
 RESTRICTED_CAP = 2000
 # prop4 refuses more samples before any work: at the sampling cap n = 5000,
-# 100,000 samples took 65 s and 434 MB peak RSS on the CLI (2-vCPU x86-64,
-# Python 3.11), about 0.65 ms a sample after a 2 s table build
+# 100,000 samples took 48.5 s and 244 MB peak RSS on the CLI (2-vCPU x86-64,
+# Python 3.11), about 0.48 ms a sample, the sampler's table 832 entries wide
 PROP4_SAMPLES_CAP = 100_000
 # delta refuses a wider l window before listing it, and more series terms
 # (values of l times k_truncation) before summing one: 17,143 values of l at
@@ -242,6 +242,11 @@ def generating_function_fp(p: int, t, dps: int):
     if dps < 1:
         raise ValueError(f"dps must be at least 1, got {dps}")
     check_prime(p)
+    return _fp_product(p, t, dps)
+
+
+def _fp_product(p: int, t, dps: int):
+    """`generating_function_fp` for a p already checked prime and dps >= 1."""
     tt = mpmath.mpf(t)
     if not (mpmath.isfinite(tt) and tt > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -476,7 +481,7 @@ def lemma91_delta(n: int, cfg: CombineConfig, L, tail: float) -> BoundCheck:
         delta = mpmath.mpf(0)
         for l in ells:
             inner = _series_floor(deficit, mpmath.exp(-mpmath.mpf(l) / x))
-            delta += inner / generating_function_fp(cfg.p, x / l, dps=DELTA_DPS)
+            delta += inner / _fp_product(cfg.p, x / l, DELTA_DPS)
         result = delta
         tail_str = mpmath.nstr(bound, 8)
         x_str = mpmath.nstr(x, 20)

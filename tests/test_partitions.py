@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charcore.partitions as partitions
 from charcore.errors import FormatError, SizeCapError
 from charcore.partitions import (
     _bounded_counts,
@@ -22,6 +23,23 @@ from charcore.partitions import (
     sample_uniform,
 )
 from oracles import bounded_counts_reference, linear_scan_sample, naive_partitions
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty sampler table for the test, and the process's own back after it."""
+    monkeypatch.setattr(partitions, "_bounded", [[1]])
+
+
+@pytest.fixture
+def narrow_table(fresh_table, monkeypatch):
+    """An empty sampler table that is built and widened 8 entries at a time."""
+    monkeypatch.setattr(partitions, "_WIDTH_STEP", 8)
+
+
+def stored_width(k):
+    return len(partitions._bounded[k]) - 1
+
 
 partition_lists = st.lists(st.integers(1, 9), max_size=9).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -254,17 +272,32 @@ class TestSampling:
     def test_matches_linear_scan_property(self, n, seed):
         assert sample_uniform(n, seed) == linear_scan_sample(n, seed)
 
-    def test_bounded_rows_match_recurrence(self):
+    def test_bounded_rows_match_recurrence(self, narrow_table):
+        # rows start 8 wide, so every m in 8 < m <= k // 2 is read through a
+        # widening, never through the p(k) formula of the wider entries
         _bounded_counts(300)
+        assert stored_width(300) == 8
         reference = bounded_counts_reference(300)
         for k in range(301):
             for m in range(k + 1):
                 assert _bounded_entry(k, m) == reference[k][m]
 
-    def test_bounded_diagonal_is_partition_count(self):
+    def test_bounded_diagonal_is_partition_count(self, narrow_table):
         _bounded_counts(30)
         for k in range(31):
             assert _bounded_entry(k, k) == len(partitions_of(k))
+
+    def test_first_part_past_the_starting_width(self, fresh_table):
+        lam = sample_uniform(2000, 0)
+        assert lam[0] > partitions._WIDTH_STEP
+        assert stored_width(2000) > partitions._WIDTH_STEP
+        assert lam == linear_scan_sample(2000, 0)
+
+    def test_table_stays_narrow_at_the_cap(self, fresh_table):
+        for seed in range(5):
+            sample_uniform(5000, seed)
+        # half rows would reach 2500 entries
+        assert stored_width(5000) < 1024
 
     @pytest.mark.parametrize("n,samples", [(6, 40000), (10, 60000)])
     def test_goodness_of_fit(self, n, samples):

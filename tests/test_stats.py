@@ -402,6 +402,24 @@ class TestLemma91Delta:
         with pytest.raises(RangeError):
             lemma91_delta(10**6, cfg, 1.0, tail=1e-6)
 
+    def test_prime_checks_do_not_grow_with_the_window(self, monkeypatch):
+        import charcore.stats as stats
+
+        calls, real = [], stats.check_prime
+
+        def spy(p):
+            calls.append(p)
+            real(p)
+
+        monkeypatch.setattr(stats, "check_prime", spy)
+        cfg = CombineConfig(2, 2)
+        seen = {}
+        for n in (10**4, 10**6):
+            calls.clear()
+            check = lemma91_delta(n, cfg, self._in_range_L(n, cfg), tail=1e-4)
+            seen[check.detail["ell_count"]] = len(calls)
+        assert len(seen) == 2 and len(set(seen.values())) == 1, seen
+
     def test_wide_window_is_refused_before_the_first_ell(self, monkeypatch):
         import charcore.stats as stats
 
