@@ -17,7 +17,6 @@ from .characters import (
     build_table,
     centralizer_order,
     chi,
-    degree,
     verify_orthogonality,
 )
 from .divisibility import (

@@ -18,6 +18,7 @@ level.  Rows are bead masks (see `abacus.bead_mask`), one table per size
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -41,7 +42,7 @@ from .partitions import (
     multiplicities,
     partitions_of,
 )
-from .tableaux import _degree_of_betas, count_syt
+from .tableaux import _degree_of_betas
 
 TABLE_CAP = 26
 # chi refuses n > CHI_CAP before any work, and stops once its walk has reached
@@ -130,8 +131,8 @@ def _tail_values(masks, tail: Partition) -> list[int]:
 def _row_table(n: int) -> tuple[tuple[int, ...], int, tuple[int, ...], dict[int, int]]:
     """The rows of size n in level order, how many are top rows, where each
     row of table order is read from the top of a column, and each row's level
-    position: (bead masks, top, signed, index).  The index is never to be
-    changed, though `_strip_lists` numbers into it any row left it lacks.
+    position: (bead masks, top, signed, index).  `_transfers` only reads
+    `index`; `_chi_values` numbers the rows it reaches in dicts of its own.
 
     Level order puts first, in table order, the `top` rows whose table index
     is at most their conjugate's, then the others.  Entry i of `signed` is the
@@ -149,20 +150,20 @@ def _row_table(n: int) -> tuple[tuple[int, ...], int, tuple[int, ...], dict[int,
     return rows, len(top), signed, {w: k for k, w in enumerate(rows)}
 
 
-def _strip_lists(rows, t: int, index: dict[int, int]) -> tuple[list[int], list[int]]:
+def _strip_lists(rows, t: int, number) -> tuple[list[int], list[int]]:
     """Where the t-strips of each bead mask in `rows` lead, held flat.
 
-    The first list holds, per t-strip of each row in turn, the index in
-    `index` of the row left by removing it, or its complement ~i when the
-    strip's height is odd; rows left that are not yet in `index` are
-    numbered on from it.  The second holds the offsets where each row's
-    entries start, and then where the last one ends.  Read against a signed
-    level (`_signed`), a row's entries sum to its value.
+    The first list holds, per t-strip of each row in turn, the number
+    `number(w)` of the row w left by removing it, or its complement ~i when
+    the strip's height is odd; the caller's `number` decides how rows left
+    are numbered.  The second holds the offsets where each row's entries
+    start, and then where the last one ends.  Read against a signed level
+    (`_signed`), a row's entries sum to its value.
     """
     flat, bounds = [], [0]
     for w in rows:
         for _, height, smaller in strip_removals(w, t):
-            i = index.setdefault(smaller, len(index))
+            i = number(smaller)
             flat.append(~i if height & 1 else i)
         bounds.append(len(flat))
     return flat, bounds
@@ -190,11 +191,11 @@ def _apply(lists, values: list[int], rows: int | None = None) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _transfers(n: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`_strip_lists` of every row of size n, in level order, against the
-    level order of size n - t, which holds every row left.  Each row of n is
-    scanned once per t for the life of the process.
+    """`_strip_lists` of every row of size n, in level order, numbered by
+    the level positions of size n - t; a row left missing there raises
+    KeyError.  Each row of n is scanned once per t for the life of the process.
     """
-    flat, bounds = _strip_lists(_row_table(n)[0], t, _row_table(n - t)[3])
+    flat, bounds = _strip_lists(_row_table(n)[0], t, _row_table(n - t)[3].__getitem__)
     return tuple(flat), tuple(bounds)
 
 
@@ -233,8 +234,9 @@ def _chi_values(masks, mu: Partition) -> list[int]:
     index, lists = top, []
     k = _head(mu)
     for t in mu[:k]:
-        below: dict[int, int] = {}
-        lists.append(_strip_lists(index, t, below))
+        below = defaultdict()  # numbers each row in order of first reach
+        below.default_factory = below.__len__
+        lists.append(_strip_lists(index, t, below.__getitem__))
         index = below
     level = _tail_values(index, mu[k:])
     for rows in reversed(lists):
@@ -259,11 +261,6 @@ def chi_column(mu) -> list[int]:
     half = _apply(_transfers(n, mu[0]), _level(mu[:0:-1]), top)
     both = _signed(half) if (n - len(mu)) & 1 else half + half[::-1]
     return list(map(both.__getitem__, signed))
-
-
-def degree(lam) -> int:
-    """Dimension of the irreducible representation (hook-length formula)."""
-    return count_syt(lam)
 
 
 def centralizer_order(mu) -> int:

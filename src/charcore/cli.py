@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import mpmath
 
@@ -53,7 +54,7 @@ def _write_record(d: dict, fmt: str, out) -> None:
 
 
 def _report_out(report, fmt: str, out) -> int:
-    d = report.as_dict()
+    d = asdict(report)
     if fmt == "text":
         out.write(
             f"{d['lemma']}: checked={d['checked']} skipped={d['skipped']} "
@@ -270,7 +271,7 @@ def _cmd_stats(args, out) -> int:
     if args.stat == "density":
         _check_threads(args)
         rep = stats.density_report(args.n, args.mod)
-        _write_record(rep.as_dict(), args.format, out)
+        _write_record(asdict(rep), args.format, out)
         return 0
     if args.stat == "tcores":
         count = stats.count_non_tcores(args.n, args.t)
@@ -285,7 +286,7 @@ def _cmd_stats(args, out) -> int:
     if args.stat == "prop4":
         cfg = CombineConfig(args.p, args.r)
         rep = stats.prop4_empirical(args.n, cfg, args.samples, args.seed)
-        _dump_json(rep.as_dict(), out)
+        _dump_json(asdict(rep), out)
         return 0
     if args.stat == "fp":
         if args.dps < 1:
@@ -311,12 +312,12 @@ def _cmd_stats(args, out) -> int:
         return 0
     if args.stat == "pdiff":
         check = stats.ppower_difference_check(args.p, args.r, args.s, args.k)
-        _dump_json(check.as_dict(), out)
+        _dump_json(asdict(check), out)
         return 0 if check.satisfied else 1
     if args.stat == "delta":
         cfg = CombineConfig(args.p, args.r)
         check = stats.lemma91_delta(args.n, cfg, args.L, tail=args.tail)
-        _dump_json(check.as_dict(), out)
+        _dump_json(asdict(check), out)
         return 0
     raise FormatError(f"unknown stats subcommand {args.stat!r}")
 

@@ -10,7 +10,7 @@ divisibility directly, without evaluating the character.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import factorial, isqrt, prod
@@ -201,9 +201,6 @@ class VerifyReport:
             self.violated += 1
             if self.witness is None:
                 self.witness = witness()
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_combine_congruence(n: int, cfg: CombineConfig) -> VerifyReport:

@@ -9,7 +9,7 @@ rigorous), and asymptotic statements are reported but never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
@@ -58,9 +58,6 @@ class DensityReport:
     nonzero_positive: int
     nonzero_negative: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def density_report(n: int, k: int) -> DensityReport:
     """Scan the full table at size n; zero entries count as divisible."""
@@ -70,16 +67,14 @@ def density_report(n: int, k: int) -> DensityReport:
     divisible = zero = pos = neg = 0
     for row in table.rows:
         for v in row:
-            if v == 0:
-                zero += 1
+            if v % k == 0:
                 divisible += 1
+            if v > 0:
+                pos += 1
+            elif v < 0:
+                neg += 1
             else:
-                if v % k == 0:
-                    divisible += 1
-                if v > 0:
-                    pos += 1
-                else:
-                    neg += 1
+                zero += 1
     total = len(table.partitions) ** 2
     assert zero + pos + neg == total
     return DensityReport(n, k, total, divisible, zero, pos, neg)
@@ -203,9 +198,6 @@ class BoundCheck:
     satisfied: bool | None
     detail: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def ppower_difference_check(p: int, r: int, s: int, k: int) -> BoundCheck:
     """Exact lower bound on ptilde(k) - ptilde(k; s).
@@ -319,9 +311,6 @@ class SamplingReport:
     min_clearing_part: int
     failure_fraction: float
     ci95: tuple[float, float]
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def prop4_empirical(

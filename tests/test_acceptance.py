@@ -73,10 +73,10 @@ def test_criterion_03_combine_congruence():
         for cfg in configs:
             for n in range(1, 13):
                 report = verify_combine_congruence(n, cfg)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
         for n in range(13, 17):
             report = verify_combine_congruence(n, CombineConfig(2, 2))
-            assert report.ok, report.as_dict()
+            assert report.ok, report
 
 
 def test_criterion_04_divisibility_theorem():
@@ -85,7 +85,7 @@ def test_criterion_04_divisibility_theorem():
         for cfg in (CombineConfig(2, 2), CombineConfig(3, 2), CombineConfig(2, 3)):
             for n in range(1, 17):
                 report = verify_theorem3(n, cfg)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
                 total_checked += report.checked
         assert total_checked > 0  # the sweep is not vacuous
 
@@ -95,14 +95,14 @@ def test_criterion_05_hook_sequence_lemmas():
         for n in range(1, 13):
             for m in range(1, 5):
                 report = verify_lemma61(n, m, max_hooks=4)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
                 report = verify_factorization(n, m, max_hooks=4)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
         for cfg in (CombineConfig(2, 2), CombineConfig(3, 2), CombineConfig(2, 3)):
             for n in range(1, 13):
                 for m in range(1, 5):
                     report = verify_lemma62(n, m, cfg)
-                    assert report.ok, report.as_dict()
+                    assert report.ok, report
 
 
 def test_criterion_06_expansion_proposition():
@@ -114,7 +114,7 @@ def test_criterion_06_expansion_proposition():
                 if cfg.p ** (cfg.r - 1) * m > n:
                     continue
                 report = verify_prop_pm1_sweep(n, m, cfg)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
                 checked += report.checked
         assert checked > 0
 
@@ -123,7 +123,7 @@ def test_criterion_07_skew_multiplicity_lemma():
     with criterion(7, "p | skew counts for non-strips; expansion identity in a box"):
         for cfg in (CombineConfig(2, 2), CombineConfig(2, 3), CombineConfig(3, 2)):
             report = verify_lemma81(8, cfg)
-            assert report.ok, report.as_dict()
+            assert report.ok, report
             assert report.checked > 0
         for size in range(1, 9):
             for shape in iter_box_skews(6, 6, size):
@@ -146,7 +146,7 @@ def test_criterion_09_ppower_difference_bound():
                 start = -(-(p ** (r + s - 1) * (s + 4)) // s)  # ceil
                 for k in range(start, start + 41):
                     check = ppower_difference_check(p, r, s, k)
-                    assert check.satisfied, check.as_dict()
+                    assert check.satisfied, check
 
 
 # Computed once from the verified engine (orthogonality holds exactly through

@@ -22,13 +22,13 @@ from charcore.characters import (
     centralizer_order,
     chi,
     chi_column,
-    degree,
     verify_orthogonality,
     write_table_csv,
     write_table_json,
 )
 from charcore.errors import SizeCapError
 from charcore.partitions import conjugate, hook_lengths, partition_count, partitions_of
+from charcore.tableaux import count_syt
 from oracles import mn_reference
 
 
@@ -147,7 +147,7 @@ class TestChi:
         # one part in a hundred of the budget is enough for each of these
         monkeypatch.setattr(characters, "CHI_STATES", CHI_STATES // 100)
         staircase = tuple(range(20, 0, -1))
-        assert chi(staircase, (1,) * 210) == degree(staircase)
+        assert chi(staircase, (1,) * 210) == count_syt(staircase)
         half = CHI_CAP // 2
         assert chi((CHI_CAP,), (2,) * half) == 1
         assert chi((1,) * CHI_CAP, (2,) * half) == (-1) ** half
@@ -288,18 +288,35 @@ class TestFlatTransfers:
                 value = dict(zip(masks, full))
                 assert chi_column(mu) == [value[w] for w in in_table_order]
 
+    def test_a_row_left_outside_the_row_table_fails_loudly(
+        self, monkeypatch, cold_characters
+    ):
+        # one extra 2-strip of [6] leaves [5], no row of 4: the transfer list
+        # must not number it into the cached row index of size 4
+        real = characters.strip_removals
+        six, foreign = _partition_mask((6,)), _partition_mask((5,))
+
+        def one_extra_strip(w, t):
+            out = real(w, t)
+            return out + [(0, 0, foreign)] if (w, t) == (six, 2) else out
+
+        monkeypatch.setattr(characters, "strip_removals", one_extra_strip)
+        with pytest.raises(KeyError):
+            chi_column((2, 2, 1, 1))
+        assert len(characters._row_table(4)[3]) == 5
+
 
 class TestDegree:
     def test_examples(self):
-        assert degree((5,)) == 1
-        assert degree((2, 1)) == 2
-        assert degree((6, 5, 3, 1, 1, 1)) == 2475200
+        assert count_syt((5,)) == 1
+        assert count_syt((2, 1)) == 2
+        assert count_syt((6, 5, 3, 1, 1, 1)) == 2475200
 
     def test_matches_identity_column(self):
         for n in range(1, 17):
             column = chi_column((1,) * n)
             for lam, value in zip(partitions_of(n), column):
-                assert value == degree(lam)
+                assert value == count_syt(lam)
 
 
 class TestCentralizer:

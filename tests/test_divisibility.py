@@ -278,13 +278,13 @@ class TestCombineCongruence:
         for cfg in CFGS:
             for n in range(1, 11):
                 report = verify_combine_congruence(n, cfg)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
 
     def test_prime_case(self):
         for p in (2, 3):
             for n in range(1, 11):
                 report = verify_combine_congruence(n, CombineConfig(p, 1))
-                assert report.ok, report.as_dict()
+                assert report.ok, report
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
@@ -494,7 +494,7 @@ class TestFactorization:
         for n in range(1, 11):
             for m in (1, 2, 3):
                 report = verify_factorization(n, m, max_hooks=3)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
 
     def test_prediction_matches_the_shape_oracle(self):
         for n, m in product(range(1, 13), (1, 2, 3)):
@@ -552,13 +552,13 @@ class TestLemma62:
             for n in range(1, 11):
                 for m in (1, 2, 3):
                     report = verify_lemma62(n, m, cfg)
-                    assert report.ok, report.as_dict()
+                    assert report.ok, report
 
     def test_matches_per_row_checks(self):
         cfgs = [CombineConfig(*c) for c in ((2, 1), (2, 2), (3, 1), (2, 3))]
         for n, m, cfg in product(range(1, 17), (1, 2, 3), cfgs):
-            got = verify_lemma62(n, m, cfg).as_dict()
-            assert got == lemma62_per_row(n, m, cfg).as_dict(), (n, m, cfg)
+            got = verify_lemma62(n, m, cfg)
+            assert got == lemma62_per_row(n, m, cfg), (n, m, cfg)
 
     def test_a_lost_sequence_is_reported_as_per_row(self, monkeypatch):
         # [4,4,2,2] reaches [3,3,2] by two removals of two 2-hooks, both of
@@ -587,7 +587,7 @@ class TestLemma62:
         assert report.violated == 1
         assert report.witness["lambda2"] == "[3,3,2]"
         assert report.witness["count"] == 1
-        assert report.as_dict() == lemma62_per_row(n, m, cfg).as_dict()
+        assert report == lemma62_per_row(n, m, cfg)
 
 
 class TestPropPm1:
@@ -606,16 +606,16 @@ class TestPropPm1:
         for n in range(2, 11):
             for m in (1, 2):
                 report = verify_prop_pm1_sweep(n, m, cfg)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
 
     def test_matches_per_value_checks(self):
         cfgs = [CombineConfig(*c) for c in ((2, 1), (2, 2), (3, 1), (2, 3))]
         for n, m, cfg in product(range(1, 15), (1, 2, 3), cfgs):
             swept = verify_prop_pm1_sweep(n, m, cfg)
-            assert swept.as_dict() == prop_pm1_sweep_per_value(n, m, cfg).as_dict()
+            assert swept == prop_pm1_sweep_per_value(n, m, cfg)
             for lam in partitions_of(n):
                 single = verify_prop_pm1(lam, m, cfg)
-                assert single.as_dict() == prop_pm1_per_value(lam, m, cfg).as_dict()
+                assert single == prop_pm1_per_value(lam, m, cfg)
 
     def test_class_checks_of_a_row_come_before_the_next_row(
         self, monkeypatch, cold_characters
@@ -656,11 +656,11 @@ class TestPropPm1:
         swept = verify_prop_pm1_sweep(n, m, cfg)
         assert swept.witness["lambda"] == format_partition(first)
         assert "tau" in swept.witness
-        assert swept.as_dict() == prop_pm1_sweep_per_value(n, m, cfg).as_dict()
+        assert swept == prop_pm1_sweep_per_value(n, m, cfg)
         for lam in (first, last):
             single = verify_prop_pm1(lam, m, cfg)
             assert single.violated
-            assert single.as_dict() == prop_pm1_per_value(lam, m, cfg).as_dict()
+            assert single == prop_pm1_per_value(lam, m, cfg)
 
 
 class TestDivisibilityTheorem:
@@ -690,7 +690,7 @@ class TestDivisibilityTheorem:
         for cfg in CFGS:
             for n in range(1, 13):
                 report = verify_theorem3(n, cfg)
-                assert report.ok, report.as_dict()
+                assert report.ok, report
 
     def test_hypothesis_matches_per_length_oracle(self):
         for cfg, n in product(THEOREM3_CFGS, range(1, 13)):
@@ -704,8 +704,8 @@ class TestDivisibilityTheorem:
 
     def test_sweep_matches_per_pair_oracle(self):
         for cfg, n in product(THEOREM3_CFGS, range(1, 13)):
-            got = verify_theorem3(n, cfg).as_dict()
-            assert got == theorem3_per_pair(n, cfg).as_dict(), (n, cfg)
+            got = verify_theorem3(n, cfg)
+            assert got == theorem3_per_pair(n, cfg), (n, cfg)
 
     def test_violations_under_two_signatures_keep_class_order(self, monkeypatch):
         real = divisibility.chi_column
@@ -720,7 +720,7 @@ class TestDivisibilityTheorem:
         monkeypatch.setattr(divisibility, "chi_column", odd_on_two_classes)
         cfg = CombineConfig(2, 1)
         report = verify_theorem3(8, cfg)
-        assert report.as_dict() == theorem3_per_pair(8, cfg).as_dict()
+        assert report == theorem3_per_pair(8, cfg)
         assert report.violated == 2
         assert report.witness == {
             "lambda": "[4,2,1,1]", "mu": "[3,2,2,1]", "chi": "1", "modulus": 2
@@ -793,8 +793,8 @@ class TestLemma81Sweep:
     def test_span_sweep_matches_shape_sweep(self, p, r):
         cfg = CombineConfig(p, r)
         for box in range(8):
-            expected = lemma81_via_shapes(box, cfg).as_dict()
-            assert verify_lemma81(box, cfg).as_dict() == expected
+            expected = lemma81_via_shapes(box, cfg)
+            assert verify_lemma81(box, cfg) == expected
 
     def test_patched_violation_gives_the_same_witness(self, monkeypatch):
         import charcore.tableaux as tableaux

@@ -97,11 +97,11 @@ KEPT_PUBLIC = {
     "skew_per_residue": "a bench/tracing.py target; the public m-quotient split",
     "count_skew_syt": "a bench/tracing.py target",
     "is_border_strip": "a bench/tracing.py target",
+    "count_syt": "acceptance criterion 1: the degrees",
     "iter_box_skews": "acceptance criterion 7: the skews of a box",
     "verify_orthogonality": "acceptance criterion 1",
     "theorem1_pipeline": "the per-pair certificate: reduce mu, then the core test",
     "verify_prop_pm1": "one row of the same _prop_pm1 sweep as verify prop-pm1",
-    "degree": "the representation-theory name of count_syt",
     "epsilon": "the paper's sign on partitions; the sweeps read _epsilon on masks",
 }
 
