@@ -280,14 +280,20 @@ class CharacterTable:
     rows: tuple[tuple[int, ...], ...]
 
 
-def build_table(n: int) -> CharacterTable:
-    """Compute the full character table, one class column at a time."""
+def _columns(n: int):
+    """The classes of size n and their columns (`chi_column`), computed one at
+    a time as they are read; n is checked against TABLE_CAP before any."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > TABLE_CAP:
         raise SizeCapError(f"table size capped at n <= {TABLE_CAP}, got {n}")
     parts = partitions_of(n)
-    columns = [chi_column(mu) for mu in parts]
+    return parts, map(chi_column, parts)
+
+
+def build_table(n: int) -> CharacterTable:
+    """Compute the full character table, one class column at a time."""
+    parts, columns = _columns(n)
     return CharacterTable(n, parts, tuple(zip(*columns)))
 
 

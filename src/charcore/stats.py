@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
-from .characters import build_table
+from .characters import _columns
 from .divisibility import CombineConfig, _carry_classes, check_power, check_prime
 from .errors import RangeError, SizeCapError
 from .partitions import (
@@ -34,8 +34,8 @@ RESTRICTED_CAP = 2000
 PROP4_SAMPLES_CAP = 100_000
 # delta refuses a wider l window before listing it, and more series terms
 # (values of l times k_truncation) before summing one: 17,143 values of l at
-# k_truncation 1024 took 7.7 s and 21 MB peak RSS in process (2-vCPU x86-64,
-# Python 3.11; see docs/formats.md)
+# k_truncation 1024 took 4.6-5.6 s and 20 MB peak RSS in process (2-vCPU
+# x86-64, Python 3.11; see docs/formats.md)
 DELTA_WINDOW_CAP = 20_000
 DELTA_TERMS_CAP = 20_000_000
 DELTA_DPS = 30  # significant digits of the reported Delta
@@ -60,24 +60,17 @@ class DensityReport:
 
 
 def density_report(n: int, k: int) -> DensityReport:
-    """Scan the full table at size n; zero entries count as divisible."""
+    """Count the entries of the table at size n, one column at a time: each is
+    tallied as it is computed and then dropped.  Zeros count as divisible."""
     if k < 1:
         raise ValueError("modulus must be positive")
-    table = build_table(n)
-    divisible = zero = pos = neg = 0
-    for row in table.rows:
-        for v in row:
-            if v % k == 0:
-                divisible += 1
-            if v > 0:
-                pos += 1
-            elif v < 0:
-                neg += 1
-            else:
-                zero += 1
-    total = len(table.partitions) ** 2
-    assert zero + pos + neg == total
-    return DensityReport(n, k, total, divisible, zero, pos, neg)
+    total = divisible = zero = pos = 0
+    for column in _columns(n)[1]:
+        total += len(column)
+        zero += column.count(0)
+        pos += len([v for v in column if v > 0])
+        divisible += len([v for v in column if v % k == 0])
+    return DensityReport(n, k, total, divisible, zero, pos, total - zero - pos)
 
 
 def count_non_tcores(n: int, t: int) -> int:
@@ -234,11 +227,6 @@ def generating_function_fp(p: int, t, dps: int):
     if dps < 1:
         raise ValueError(f"dps must be at least 1, got {dps}")
     check_prime(p)
-    return _fp_product(p, t, dps)
-
-
-def _fp_product(p: int, t, dps: int):
-    """`generating_function_fp` for a p already checked prime and dps >= 1."""
     tt = mpmath.mpf(t)
     if not (mpmath.isfinite(tt) and tt > 0):
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -406,12 +394,16 @@ def lemma91_delta(n: int, cfg: CombineConfig, L, tail: float) -> BoundCheck:
       terms are all nonnegative and `tail_bound`, a geometric bound below
       `tail` (positive, finite), bounds their sum rigorously;
     - each inner sum is evaluated by `_series_floor`, which rounds down;
-    - exp(-l/x) is rounded to nearest at DELTA_DPS + 15 digits, and each
-      `generating_function_fp` denominator is evaluated at that precision and
-      rounded to nearest at DELTA_DPS digits; the division, the sum over l
-      and the reported DELTA_DPS digits round to nearest as well.
+    - z = exp(-l/x) is rounded to nearest at DELTA_DPS + 15 = 45 digits; the
+      sum is multiplied by the factors 1 - z**(p**j), p**j * l <= 50x, of
+      1 / `generating_function_fp` at t = x/l, each power of z the p-th power
+      of the one before; the powers, the products, the sum over l and the
+      reported DELTA_DPS digits round to nearest.
     So Delta is a lower bound of the untruncated sum up to those roundings
-    to nearest, not a certified one.
+    to nearest, not a certified one.  The deficit is 0 below p**(r+s-1) and
+    k_truncation <= 65,536, so a non-zero term has t = x/l <= 2 p**(r+s-1)
+    <= 131,072; a factor carries p**j times the error of z and cancels about
+    p**j / t of its size, so it keeps all but log10(t) < 6 of the 45 digits.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -469,16 +461,18 @@ def lemma91_delta(n: int, cfg: CombineConfig, L, tail: float) -> BoundCheck:
         deficit = [a - b for a, b in zip(total, good)]
         delta = mpmath.mpf(0)
         for l in ells:
-            inner = _series_floor(deficit, mpmath.exp(-mpmath.mpf(l) / x))
-            delta += inner / _fp_product(cfg.p, x / l, DELTA_DPS)
-        result = delta
+            z = mpmath.exp(-mpmath.mpf(l) / x)
+            term, power = _series_floor(deficit, z), l
+            while power <= 50 * x:
+                term, z, power = term * (1 - z), z**cfg.p, power * cfg.p
+            delta += term
         tail_str = mpmath.nstr(bound, 8)
         x_str = mpmath.nstr(x, 20)
         lower_str = mpmath.nstr(ell_lower_bound, 15)
     with mpmath.workdps(DELTA_DPS):
         return BoundCheck(
             {"n": n, "p": cfg.p, "r": cfg.r, "s": s, "L": str(L)},
-            mpmath.nstr(+result, DELTA_DPS),
+            mpmath.nstr(+delta, DELTA_DPS),
             "0",
             None,
             {

@@ -356,6 +356,33 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["table", "27"], "table size capped at n <= 26, got 27"),
+            (["stats", "density", "--n", "27", "--mod", "2"],
+             "table size capped at n <= 26, got 27"),
+            (["table", "0"], "n must be positive"),
+            (["stats", "density", "--n", "0", "--mod", "2"], "n must be positive"),
+        ],
+    )
+    def test_table_size_is_refused_before_any_column(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        from charcore import characters, cli
+
+        columns = []
+        monkeypatch.setattr(characters, "chi_column", columns.append)
+        target = tmp_path / "t.out"
+        target.write_text("keep\n")
+        assert cli.main(argv) == 2
+        assert cli.main(argv + ["--out", str(target)]) == 2
+        err = f"charcore: error: {message}\n"
+        assert capsys.readouterr() == ("", err + err)
+        assert columns == []
+        assert target.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.out"]
+
+    @pytest.mark.parametrize(
         "n,message",
         [
             ("61", "charcore: error: enumeration capped at n <= 60, got 61\n"),

@@ -9,8 +9,8 @@ method or property of a top-level class is read somewhere in the package or
 kept for a stated reason, no public top-level function declares a parameter
 default unless kept for a stated reason, every cache that lives as long
 as the process is named, with its bound, in `docs/formats.md`, every cache
-named there lives, and `cold_characters` empties every cache of
-`characters`.
+named there lives, `cold_characters` empties every cache of
+`characters`, and only `cli` reads `build_table`.
 """
 
 import ast
@@ -435,3 +435,13 @@ def test_cold_characters_clears_every_characters_cache():
 
     found = _process_caches(TREES["characters.py"], _package_functions())
     assert sorted(conftest.CHARACTER_CACHES) == sorted(found)
+
+
+def test_only_the_table_command_builds_a_whole_table():
+    # every other caller reads the columns one at a time
+    readers = sorted(
+        module
+        for module, tree in TREES.items()
+        if module != "__init__.py" and "build_table" in _loaded_names(tree)
+    )
+    assert readers == ["cli.py"], f"modules that read build_table: {readers}"

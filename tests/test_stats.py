@@ -62,6 +62,19 @@ class TestDensity:
     def test_takes_no_thread_count(self):
         assert list(inspect.signature(density_report).parameters) == ["n", "k"]
 
+    def test_holds_one_column_at_a_time(self):
+        # one column of 627 entries is held at a time, never the 627 x 627 table
+        import tracemalloc
+
+        density_report(20, 2)  # the process caches warm
+        tracemalloc.start()
+        try:
+            density_report(20, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestNonTCores:
     def test_above_n(self):
@@ -419,6 +432,18 @@ class TestLemma91Delta:
             check = lemma91_delta(n, cfg, self._in_range_L(n, cfg), tail=1e-4)
             seen[check.detail["ell_count"]] = len(calls)
         assert len(seen) == 2 and len(set(seen.values())) == 1, seen
+
+    def test_each_exponential_is_computed_once(self, monkeypatch):
+        # one exp per l, one for the tail ratio, and the factors of fp_big
+        calls, real = [], mpmath.exp
+
+        def spy(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(mpmath, "exp", spy)
+        check = lemma91_delta(10**7, CombineConfig(2, 2), 620, 1e-6)
+        assert len(calls) <= check.detail["ell_count"] + 16
 
     def test_wide_window_is_refused_before_the_first_ell(self, monkeypatch):
         import charcore.stats as stats
