@@ -26,7 +26,7 @@ from .abacus import (
     mask_partition,
     strip_removals,
 )
-from .characters import _chi_values, _same_size, chi, chi_column
+from .characters import TABLE_CAP, _chi_values, _same_size, chi, chi_column
 from .errors import SizeCapError
 from .partitions import (
     Partition,
@@ -43,7 +43,6 @@ from .tableaux import (
     _spans_shape,
 )
 
-CONGRUENCE_CAP = 16
 LEMMA81_BOX_CAP = 64
 LEMMA81_CAP = 2_100_000
 PRIME_CAP = 10**12
@@ -207,10 +206,11 @@ def verify_combine_congruence(n: int, cfg: CombineConfig) -> VerifyReport:
     """Exhaust every applicable combine step at size n against every row.
 
     For each pair (mu, nu) related by one rewrite and every lambda, the two
-    character values must agree modulo p**r.
+    character values must agree modulo p**r.  n is capped at TABLE_CAP, the
+    cap of the table whose columns it reads, before any column is read.
     """
-    if n > CONGRUENCE_CAP:
-        raise SizeCapError(f"congruence sweep capped at n <= {CONGRUENCE_CAP}, got {n}")
+    if n > TABLE_CAP:
+        raise SizeCapError(f"congruence sweep capped at n <= {TABLE_CAP}, got {n}")
     report = VerifyReport("combine", {"n": n, "p": cfg.p, "r": cfg.r})
     rows = partitions_of(n)
     column = cache(chi_column)
@@ -378,9 +378,9 @@ def verify_factorization(n: int, m: int, max_hooks: int) -> VerifyReport:
 
 
 def _core_groups(
-    rows: Sequence[Partition], n: int, m: int, cfg: CombineConfig, report: VerifyReport
+    n: int, m: int, cfg: CombineConfig, report: VerifyReport
 ) -> list[tuple[Partition, list[tuple[Partition, bool, int]]]]:
-    """Each core row among `rows` (all of size n) with its groups, in walk order.
+    """Each core row of size n with its groups, in walk order.
 
     A row is a core when it has no hook of length m * p**(r-1); every other
     row is counted as skipped on `report`.  A group gathers the ways of
@@ -390,7 +390,7 @@ def _core_groups(
     _check_m(m)
     count = cfg.p ** (cfg.r - 1)
     cores = []
-    for lam in rows:
+    for lam in partitions_of(n):
         if count * m > n or not is_tcore(lam, count * m):
             report.skipped += 1
             continue
@@ -405,7 +405,7 @@ def _core_groups(
 def verify_lemma62(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
     """For cores, every group count of p**(r-1) removals is a multiple of p."""
     report = VerifyReport("lemma62", {"n": n, "m": m, "p": cfg.p, "r": cfg.r})
-    for lam, groups in _core_groups(partitions_of(n), n, m, cfg, report):
+    for lam, groups in _core_groups(n, m, cfg, report):
         for lam2, _, c in groups:
             report.check(
                 c % cfg.p == 0,
@@ -420,40 +420,20 @@ def verify_lemma62(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
     return report
 
 
-def verify_prop_pm1(lam, m: int, cfg: CombineConfig) -> VerifyReport:
-    """Check the p-divisible expansion of one core row.
+def verify_prop_pm1_sweep(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
+    """Check the p-divisible expansion of every core row of size n.
 
     Removing p**(r-1) strips of length m must aggregate into coefficients all
     divisible by p, and the signed expansion must reproduce the character
-    value on every residual class tau.
+    value on every residual class tau.  Character values are read once per
+    tau, for the core rows on tau + m^count and for the union of the groups'
+    targets on tau, each set visiting only the rows it reaches.  Checks are
+    then made row by row, groups before classes, so the tallies and the first
+    witness are those of checking one row at a time.
     """
-    lam = check_partition(lam)
-    report = VerifyReport(
-        "prop-pm1",
-        {"lambda": format_partition(lam), "m": m, "p": cfg.p, "r": cfg.r},
-    )
-    return _prop_pm1((lam,), sum(lam), m, cfg, report)
-
-
-def verify_prop_pm1_sweep(n: int, m: int, cfg: CombineConfig) -> VerifyReport:
-    """Run the expansion check over every suitable core row of size n."""
     report = VerifyReport("prop-pm1", {"n": n, "m": m, "p": cfg.p, "r": cfg.r})
-    return _prop_pm1(partitions_of(n), n, m, cfg, report)
-
-
-def _prop_pm1(
-    rows: Sequence[Partition], n: int, m: int, cfg: CombineConfig, report: VerifyReport
-) -> VerifyReport:
-    """The expansion check of every core row among `rows`, all of size n.
-
-    Character values are read once per tau, for the core rows on
-    tau + m^count and for the union of the groups' targets on tau, each set
-    visiting only the rows it reaches.  Checks are then made row by row,
-    groups before classes, so the tallies and the first witness are those of
-    checking one row at a time.
-    """
     count = cfg.p ** (cfg.r - 1)
-    cores = _core_groups(rows, n, m, cfg, report)
+    cores = _core_groups(n, m, cfg, report)
     if not cores:
         return report
     targets: dict[Partition, int] = {}
@@ -502,10 +482,8 @@ def _prop_pm1(
     return report
 
 
-def _sum_sets(
-    mu, cfg: CombineConfig
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Each r-set of part sizes of mu, its sorted combined lengths and their bitmask.
+def _sum_sets(mu, cfg: CombineConfig) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each r-set of part sizes of mu and the bitmask of its combined lengths.
 
     A size qualifies when it occurs at least p**(r-1) times in mu; the combined
     lengths of m_1..m_r are the sums k_1 m_1 + ... + k_r m_r with every k_i at
@@ -520,7 +498,7 @@ def _sum_sets(
             for ks in product(range(reps + 1), repeat=cfg.r)
             if max(ks) == reps
         }
-        yield sizes, tuple(sorted(sums)), sum(1 << t for t in sums)
+        yield sizes, sum(1 << t for t in sums)
 
 
 def _hypothesis(mask: int, sum_sets: Iterable[tuple]):
@@ -529,7 +507,7 @@ def _hypothesis(mask: int, sum_sets: Iterable[tuple]):
     `mask` is a row's `hook_length_mask`: the row is a core for every combined
     length of a set exactly when the two masks share no bit.
     """
-    return next((s for s in sum_sets if not mask & s[2]), None)
+    return next((s for s in sum_sets if not mask & s[1]), None)
 
 
 def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
@@ -549,7 +527,7 @@ def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
     accepted: dict[tuple, int] = {}  # sum-set sizes -> bitset of rows
     for mu in rows:
         sum_sets = list(_sum_sets(mu, cfg))
-        key = tuple(sizes for sizes, _, _ in sum_sets)
+        key = tuple(sizes for sizes, _ in sum_sets)
         if key not in accepted:
             # each row is in one mask's bitset, so their sum is their union
             accepted[key] = sum(
@@ -595,7 +573,7 @@ def theorem1_pipeline(lam, mu, cfg: CombineConfig) -> PipelineResult:
     reduced = reduce_partition(mu, cfg).output
     hit = _hypothesis(hook_length_mask(lam), _sum_sets(reduced, cfg))
     if hit:
-        return PipelineResult(True, True, reduced, *hit[:2])
+        return PipelineResult(True, True, reduced, hit[0], tuple(_beads(hit[1])))
     divides = chi(lam, reduced) % cfg.q == 0
     return PipelineResult(divides, False, reduced, None, None)
 

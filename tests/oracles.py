@@ -8,7 +8,7 @@ that the package itself uses.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -605,14 +605,23 @@ def theorem3_hypothesis_per_length(lam, mu, cfg):
     """(holds, sizes, sums) of theorem 3's hypothesis, one `is_tcore` per length.
 
     The first r-set of part sizes of mu for which lam is a t-core at every
-    combined length t wins; (False, None, None) when none does.
+    combined length t wins; (False, None, None) when none does.  The sorted
+    combined lengths are listed from each set's sizes, not read off its mask.
     """
     from charcore.abacus import is_tcore
     from charcore.divisibility import _sum_sets
 
-    for sizes, sums, _ in _sum_sets(mu, cfg):
+    reps = cfg.p ** (cfg.r - 1)
+    for sizes, _ in _sum_sets(mu, cfg):
+        sums = sorted(
+            {
+                sum(k * m for k, m in zip(ks, sizes))
+                for ks in product(range(reps + 1), repeat=cfg.r)
+                if max(ks) == reps
+            }
+        )
         if all(is_tcore(lam, t) for t in sums):
-            return True, sizes, sums
+            return True, sizes, tuple(sums)
     return False, None, None
 
 

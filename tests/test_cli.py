@@ -382,6 +382,18 @@ class TestExitCodes:
         assert target.read_text() == "keep\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.out"]
 
+    def test_combine_size_is_refused_before_any_column(self, monkeypatch, capsys):
+        # verify combine reads the table's columns, so it shares TABLE_CAP
+        from charcore import cli, divisibility
+
+        columns = []
+        monkeypatch.setattr(divisibility, "chi_column", columns.append)
+        argv = ["verify", "combine", "--n", "27", "--p", "2", "--r", "1"]
+        assert cli.main(argv) == 2
+        err = "charcore: error: congruence sweep capped at n <= 26, got 27\n"
+        assert capsys.readouterr() == ("", err)
+        assert columns == []
+
     @pytest.mark.parametrize(
         "n,message",
         [
@@ -504,6 +516,134 @@ class TestFormats:
         assert json.loads(res.stdout)["samples"] == 5
 
 
+FROZEN_OUTPUTS = [
+    (
+        ("core", "--lambda", "[6,5,3,1,1,1]", "--t", "5", "--format", "json"),
+        "75adda385be54da47ef8ce0d12a202ca0c3e332519adbc2aceccb7cd00d3b9d1",
+    ),
+    (
+        (
+            "core", "--lambda", "[40,35,30,25,20,15,12,10,8,5]", "--t", "7",
+            "--format", "json",
+        ),
+        "d4ab9789f394dfb678a49eba5ae80668b07045faec29134b84faecb286544f1e",
+    ),
+    (
+        ("verify", "lemma61", "--n", "12", "--m", "2", "--hooks", "3"),
+        "63fe5ceb643c007d6d9f205d90ece4d315c95c9da11a2e922359daef22897a2e",
+    ),
+    (
+        ("verify", "factorization", "--n", "12", "--m", "3", "--hooks", "3"),
+        "5ba9b802f8addc07460eae6001a45e8fb8a0bf17eec86ec749a8a77f2b68325e",
+    ),
+    (
+        ("verify", "lemma81", "--n", "6", "--p", "2", "--r", "2"),
+        "dbed36d3042c44a7114a12b8aa161f23ce3e94efe61eb306ad613483101a3b28",
+    ),
+    (
+        ("table", "20", "--format", "csv"),
+        "9b2f8603f38071bd0da7edf7bce23d08b16375ec8daa0a7f342d2a15116949a1",
+    ),
+    (
+        ("verify", "prop-pm1", "--n", "20", "--m", "3", "--p", "2", "--r", "2"),
+        "fb61cd4d552bf4f9a481063a68933073a84c47f196d05a70978829dec3ecc94f",
+    ),
+    (
+        ("verify", "prop-pm1", "--n", "16", "--m", "2", "--p", "2", "--r", "3"),
+        "b9cedc32b6e82f6ff6f850b8ad1ccbfba55459533554a55602fd6e6f44c6a73c",
+    ),
+    (
+        ("verify", "theorem3", "--n", "20", "--p", "2", "--r", "2"),
+        "03be791ff337673631df6b131824c24e4ec66e0152e9988259e43ff6faa2c000",
+    ),
+    (
+        ("verify", "lemma62", "--n", "20", "--m", "2", "--p", "2", "--r", "2"),
+        "74bb4c1fa356cdd19cd4d077df5bcd19b36ae653f01a03987d2535b87d84f7d9",
+    ),
+    (
+        ("verify", "combine", "--n", "12", "--p", "2", "--r", "2"),
+        "16388f31e852ddd7f1fbca8dfb63e34c249f3e3a01999e53cb1c54293a25408d",
+    ),
+    (
+        ("stats", "tcores", "--n", "40", "--t", "5"),
+        "1a3a01f62edb3eb90a199d5cd3809fe09df9772790f2eabefe4c2c25a58a186e",
+    ),
+    (
+        ("stats", "tcores", "--n", "50", "--t", "7"),
+        "58731dec0dd5fdc28a516e9e52862edb7029209e8b5c3d9dc613bf85a2bcc12d",
+    ),
+    (
+        ("verify", "lemma62", "--n", "24", "--m", "2", "--p", "2", "--r", "3"),
+        "b733a149a74b072f61d05f50a1822584c7c2ee429df80edaa27766bc4362bfcf",
+    ),
+    (
+        ("verify", "factorization", "--n", "14", "--m", "1", "--hooks", "4"),
+        "e7d10df9b32b5249dede98fa92d34ba990c9af8e2000a24354285072efc54b70",
+    ),
+    (
+        (
+            "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
+            "--format", "json",
+        ),
+        "0f7782a253856b4b04b375a60d77f242b2265f29c21e0f6dd4355c503156b316",
+    ),
+    (
+        (
+            "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
+            "--format", "text",
+        ),
+        "4e115ebf1d5c90a3f616f8f0c8bf53fd9d99636f17d99b877b2766f526a6d234",
+    ),
+    (
+        (
+            "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
+            "--format", "csv",
+        ),
+        "0358424a84325c7daad24955362065c9b387a4e84c0ee2b274fc151c29ec86e9",
+    ),
+    (
+        (
+            "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
+            "--format", "json",
+        ),
+        "6392cf61b550ed30b5673e9d19087dbd9b6d80b8f3d20aef5e04af06fb458417",
+    ),
+    (
+        (
+            "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
+            "--format", "text",
+        ),
+        "aab003d92aaf0389c6b71fbed7db9dafd164df28456dc8430905c1f542697ceb",
+    ),
+    (
+        (
+            "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
+            "--format", "csv",
+        ),
+        "652091c332fe6c6db33b08dcd8fb7ed7e2de9e9ee5ab0ebb69fc3c1a72e83d6e",
+    ),
+    (
+        (
+            "verify", "lemma81", "--n", "12", "--p", "2", "--r", "3",
+            "--format", "json",
+        ),
+        "daec44b23f9d2d180cb47c3eea5345109d98fa5dba085b27d3d1daffb20bbab6",
+    ),
+    (
+        ("verify", "combine", "--n", "16", "--p", "2", "--r", "1"),
+        "c90655ff3839aa68e3b3449348602e8b011c0cdae807857f7464aae89588c058",
+    ),
+    (
+        ("verify", "theorem3", "--n", "14", "--p", "3", "--r", "1"),
+        "11d096c9aa6fafcbcdb348c349f6894cd7667b84162e6815cbb63dc7b85b2f41",
+    ),
+    (
+        ("verify", "prop-pm1", "--n", "18", "--m", "2", "--p", "3", "--r", "2"),
+        "d5c53f25a247210ff931a098d15f16e50d1fa8da7c24a1db7a0d525ad874adaf",
+    ),
+]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -578,133 +718,24 @@ class TestDeterminism:
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "args,digest",
-        [
-            (
-                ("core", "--lambda", "[6,5,3,1,1,1]", "--t", "5", "--format", "json"),
-                "75adda385be54da47ef8ce0d12a202ca0c3e332519adbc2aceccb7cd00d3b9d1",
-            ),
-            (
-                (
-                    "core", "--lambda", "[40,35,30,25,20,15,12,10,8,5]", "--t", "7",
-                    "--format", "json",
-                ),
-                "d4ab9789f394dfb678a49eba5ae80668b07045faec29134b84faecb286544f1e",
-            ),
-            (
-                ("verify", "lemma61", "--n", "12", "--m", "2", "--hooks", "3"),
-                "63fe5ceb643c007d6d9f205d90ece4d315c95c9da11a2e922359daef22897a2e",
-            ),
-            (
-                ("verify", "factorization", "--n", "12", "--m", "3", "--hooks", "3"),
-                "5ba9b802f8addc07460eae6001a45e8fb8a0bf17eec86ec749a8a77f2b68325e",
-            ),
-            (
-                ("verify", "lemma81", "--n", "6", "--p", "2", "--r", "2"),
-                "dbed36d3042c44a7114a12b8aa161f23ce3e94efe61eb306ad613483101a3b28",
-            ),
-            (
-                ("table", "20", "--format", "csv"),
-                "9b2f8603f38071bd0da7edf7bce23d08b16375ec8daa0a7f342d2a15116949a1",
-            ),
-            (
-                ("verify", "prop-pm1", "--n", "20", "--m", "3", "--p", "2", "--r", "2"),
-                "fb61cd4d552bf4f9a481063a68933073a84c47f196d05a70978829dec3ecc94f",
-            ),
-            (
-                ("verify", "prop-pm1", "--n", "16", "--m", "2", "--p", "2", "--r", "3"),
-                "b9cedc32b6e82f6ff6f850b8ad1ccbfba55459533554a55602fd6e6f44c6a73c",
-            ),
-            (
-                ("verify", "theorem3", "--n", "20", "--p", "2", "--r", "2"),
-                "03be791ff337673631df6b131824c24e4ec66e0152e9988259e43ff6faa2c000",
-            ),
-            (
-                ("verify", "lemma62", "--n", "20", "--m", "2", "--p", "2", "--r", "2"),
-                "74bb4c1fa356cdd19cd4d077df5bcd19b36ae653f01a03987d2535b87d84f7d9",
-            ),
-            (
-                ("verify", "combine", "--n", "12", "--p", "2", "--r", "2"),
-                "16388f31e852ddd7f1fbca8dfb63e34c249f3e3a01999e53cb1c54293a25408d",
-            ),
-            (
-                ("stats", "tcores", "--n", "40", "--t", "5"),
-                "1a3a01f62edb3eb90a199d5cd3809fe09df9772790f2eabefe4c2c25a58a186e",
-            ),
-            (
-                ("stats", "tcores", "--n", "50", "--t", "7"),
-                "58731dec0dd5fdc28a516e9e52862edb7029209e8b5c3d9dc613bf85a2bcc12d",
-            ),
-            (
-                ("verify", "lemma62", "--n", "24", "--m", "2", "--p", "2", "--r", "3"),
-                "b733a149a74b072f61d05f50a1822584c7c2ee429df80edaa27766bc4362bfcf",
-            ),
-            (
-                ("verify", "factorization", "--n", "14", "--m", "1", "--hooks", "4"),
-                "e7d10df9b32b5249dede98fa92d34ba990c9af8e2000a24354285072efc54b70",
-            ),
-            (
-                (
-                    "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
-                    "--format", "json",
-                ),
-                "0f7782a253856b4b04b375a60d77f242b2265f29c21e0f6dd4355c503156b316",
-            ),
-            (
-                (
-                    "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
-                    "--format", "text",
-                ),
-                "4e115ebf1d5c90a3f616f8f0c8bf53fd9d99636f17d99b877b2766f526a6d234",
-            ),
-            (
-                (
-                    "verify", "lemma81", "--n", "8", "--p", "2", "--r", "3",
-                    "--format", "csv",
-                ),
-                "0358424a84325c7daad24955362065c9b387a4e84c0ee2b274fc151c29ec86e9",
-            ),
-            (
-                (
-                    "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
-                    "--format", "json",
-                ),
-                "6392cf61b550ed30b5673e9d19087dbd9b6d80b8f3d20aef5e04af06fb458417",
-            ),
-            (
-                (
-                    "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
-                    "--format", "text",
-                ),
-                "aab003d92aaf0389c6b71fbed7db9dafd164df28456dc8430905c1f542697ceb",
-            ),
-            (
-                (
-                    "verify", "lemma81", "--n", "8", "--p", "3", "--r", "2",
-                    "--format", "csv",
-                ),
-                "652091c332fe6c6db33b08dcd8fb7ed7e2de9e9ee5ab0ebb69fc3c1a72e83d6e",
-            ),
-            (
-                (
-                    "verify", "lemma81", "--n", "12", "--p", "2", "--r", "3",
-                    "--format", "json",
-                ),
-                "daec44b23f9d2d180cb47c3eea5345109d98fa5dba085b27d3d1daffb20bbab6",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("args,digest", FROZEN_OUTPUTS)
     def test_core_and_residue_output_is_frozen(self, args, digest):
         # cores, residue skews, epsilon and border-strip checks feed the first
         # five, the conjugate-row fill and the shared prop-pm1 columns the next
         # three, theorem 3's core test and the core-row walk the next four, the
         # hook-sequence counts of four removals per row the next two, and the
-        # lemma81 sweep on canonical row spans the last seven, the last of them
-        # a box where most classes split into components
+        # lemma81 sweep on canonical row spans the next seven, the last of them
+        # a box where most classes split into components; then combine at
+        # n = 16 and theorem3 and prop-pm1 at p = 3
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    def test_each_verify_lemma_output_is_pinned(self):
+        from charcore import cli
+
+        pinned = {args[1] for args, _ in FROZEN_OUTPUTS if args[0] == "verify"}
+        assert pinned == set(cli._VERIFIERS)
 
     @pytest.mark.parametrize(
         "n,fmt,digest",

@@ -9,6 +9,7 @@ import charcore.characters as characters
 import charcore.divisibility as divisibility
 import oracles
 from charcore.abacus import (
+    _beads,
     _partition_mask,
     bead_mask,
     from_partition,
@@ -31,7 +32,6 @@ from charcore.divisibility import (
     verify_lemma61,
     verify_lemma62,
     verify_lemma81,
-    verify_prop_pm1,
     verify_prop_pm1_sweep,
     verify_theorem3,
 )
@@ -286,9 +286,18 @@ class TestCombineCongruence:
                 report = verify_combine_congruence(n, CombineConfig(p, 1))
                 assert report.ok, report
 
-    def test_cap(self):
-        with pytest.raises(SizeCapError):
-            verify_combine_congruence(17, CombineConfig(2, 2))
+    def test_cap(self, monkeypatch):
+        # the cap is the table's, and it acts before any column is read
+        columns = []
+        monkeypatch.setattr(divisibility, "chi_column", columns.append)
+        message = "^congruence sweep capped at n <= 26, got 27$"
+        with pytest.raises(SizeCapError, match=message):
+            verify_combine_congruence(27, CombineConfig(2, 2))
+        assert columns == []
+
+    def test_sweep_past_sixteen(self):
+        report = verify_combine_congruence(17, CombineConfig(2, 2))
+        assert report.ok and report.checked > 0
 
     def test_witness_is_the_first_of_two_failures(self, monkeypatch):
         real = divisibility.chi_column
@@ -366,7 +375,6 @@ M_CHECKS = {
     "lemma61": lambda m: verify_lemma61(4, m, 3),
     "factorization": lambda m: verify_factorization(4, m, 3),
     "lemma62": lambda m: verify_lemma62(4, m, CombineConfig(2, 2)),
-    "prop_pm1": lambda m: verify_prop_pm1((2, 2), m, CombineConfig(2, 2)),
     "prop_pm1_sweep": lambda m: verify_prop_pm1_sweep(4, m, CombineConfig(2, 2)),
     "hook_sequences": lambda m: enumerate_hook_sequences((2, 2), m, 1),
 }
@@ -592,14 +600,17 @@ class TestLemma62:
 
 class TestPropPm1:
     def test_prime_case_zero_character(self):
-        # an m-core row vanishes on any class containing the part m
-        report = verify_prop_pm1((2, 2), 4, CombineConfig(2, 1))
+        # an m-core row vanishes on any class containing the part m; [2,2] is
+        # the one 4-core of 4, and its one check is chi on [4] against 0
+        report = verify_prop_pm1_sweep(4, 4, CombineConfig(2, 1))
         assert report.ok
+        assert (report.checked, report.skipped) == (1, 4)
         assert chi((2, 2), (4,)) == 0
 
     def test_skips_non_core(self):
-        report = verify_prop_pm1((4, 1, 1), 1, CombineConfig(2, 2))
-        assert report.skipped == 1 and report.checked == 0
+        # no row of 4 is a 2-core, so every row is skipped and none checked
+        report = verify_prop_pm1_sweep(4, 1, CombineConfig(2, 2))
+        assert report.skipped == len(partitions_of(4)) and report.checked == 0
 
     def test_sweep(self):
         cfg = CombineConfig(2, 2)
@@ -613,9 +624,6 @@ class TestPropPm1:
         for n, m, cfg in product(range(1, 15), (1, 2, 3), cfgs):
             swept = verify_prop_pm1_sweep(n, m, cfg)
             assert swept == prop_pm1_sweep_per_value(n, m, cfg)
-            for lam in partitions_of(n):
-                single = verify_prop_pm1(lam, m, cfg)
-                assert single == prop_pm1_per_value(lam, m, cfg)
 
     def test_class_checks_of_a_row_come_before_the_next_row(
         self, monkeypatch, cold_characters
@@ -657,10 +665,9 @@ class TestPropPm1:
         assert swept.witness["lambda"] == format_partition(first)
         assert "tau" in swept.witness
         assert swept == prop_pm1_sweep_per_value(n, m, cfg)
+        # each fault is live on its own row
         for lam in (first, last):
-            single = verify_prop_pm1(lam, m, cfg)
-            assert single.violated
-            assert single == prop_pm1_per_value(lam, m, cfg)
+            assert prop_pm1_per_value(lam, m, cfg).violated
 
 
 class TestDivisibilityTheorem:
@@ -699,7 +706,9 @@ class TestDivisibilityTheorem:
                 hit = divisibility._hypothesis(
                     hook_length_mask(lam), divisibility._sum_sets(mu, cfg)
                 )
-                got = (True, *hit[:2]) if hit else (False, None, None)
+                got = (False, None, None)
+                if hit:
+                    got = (True, hit[0], tuple(_beads(hit[1])))
                 assert got == theorem3_hypothesis_per_length(lam, mu, cfg)
 
     def test_sweep_matches_per_pair_oracle(self):
@@ -773,6 +782,15 @@ class TestPipeline:
                         certified += 1
                         assert res.divides
         assert certified > 0
+
+    def test_certificate_matches_per_length_oracle(self):
+        # the certificate's sizes and sorted lengths, as the oracle lists them
+        for cfg, n in product(THEOREM3_CFGS, range(1, 10)):
+            rows = partitions_of(n)
+            for lam, mu in product(rows, rows):
+                res = theorem1_pipeline(lam, mu, cfg)
+                want = theorem3_hypothesis_per_length(lam, res.mu_tilde, cfg)
+                assert (res.certified, res.sizes, res.core_lengths) == want
 
     def test_certificate_contents(self):
         cfg = CombineConfig(2, 2)

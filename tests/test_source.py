@@ -10,7 +10,8 @@ kept for a stated reason, no public top-level function declares a parameter
 default unless kept for a stated reason, every cache that lives as long
 as the process is named, with its bound, in `docs/formats.md`, every cache
 named there lives, `cold_characters` empties every cache of
-`characters`, and only `cli` reads `build_table`.
+`characters`, only `cli` reads `build_table`, and the public `verify_*`
+functions of `divisibility` are exactly those `cli._VERIFIERS` calls.
 """
 
 import ast
@@ -101,7 +102,6 @@ KEPT_PUBLIC = {
     "iter_box_skews": "acceptance criterion 7: the skews of a box",
     "verify_orthogonality": "acceptance criterion 1",
     "theorem1_pipeline": "the per-pair certificate: reduce mu, then the core test",
-    "verify_prop_pm1": "one row of the same _prop_pm1 sweep as verify prop-pm1",
     "epsilon": "the paper's sign on partitions; the sweeps read _epsilon on masks",
 }
 
@@ -445,3 +445,26 @@ def test_only_the_table_command_builds_a_whole_table():
         if module != "__init__.py" and "build_table" in _loaded_names(tree)
     )
     assert readers == ["cli.py"], f"modules that read build_table: {readers}"
+
+
+def test_each_verify_lemma_has_one_library_entry():
+    # a second public verifier of a lemma is a cross-check, kept in oracles.py
+    table = next(
+        node.value
+        for node in TREES["cli.py"].body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "_VERIFIERS" for t in node.targets)
+    )
+    called = {
+        node.attr
+        for node in ast.walk(table)
+        if isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "divisibility"
+    }
+    public = {
+        node.name
+        for node in TREES["divisibility.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+    }
+    assert len(called) == len(table.keys) == 7
+    assert public == called, f"verify_* unlike _VERIFIERS: {sorted(public ^ called)}"
