@@ -39,7 +39,6 @@ from .errors import (
 from .partitions import (
     Partition,
     conjugate,
-    enumerate_partitions,
     format_partition,
     hook_lengths,
     parse_partition,

@@ -314,12 +314,10 @@ def _cmd_stats(args, out) -> int:
         check = stats.ppower_difference_check(args.p, args.r, args.s, args.k)
         _dump_json(asdict(check), out)
         return 0 if check.satisfied else 1
-    if args.stat == "delta":
-        cfg = CombineConfig(args.p, args.r)
-        check = stats.lemma91_delta(args.n, cfg, args.L, tail=args.tail)
-        _dump_json(asdict(check), out)
-        return 0
-    raise FormatError(f"unknown stats subcommand {args.stat!r}")
+    cfg = CombineConfig(args.p, args.r)  # delta: the one stats name left
+    check = stats.lemma91_delta(args.n, cfg, args.L, tail=args.tail)
+    _dump_json(asdict(check), out)
+    return 0
 
 
 _COMMANDS = {

@@ -206,34 +206,40 @@ def verify_combine_congruence(n: int, cfg: CombineConfig) -> VerifyReport:
     """Exhaust every applicable combine step at size n against every row.
 
     For each pair (mu, nu) related by one rewrite and every lambda, the two
-    character values must agree modulo p**r.  n is capped at TABLE_CAP, the
-    cap of the table whose columns it reads, before any column is read.
+    character values must agree modulo p**r.  nu has mu's fixpoint, so the
+    sweep takes one reduction class at a time and holds only its columns,
+    each computed once.  n is capped at TABLE_CAP, the cap of the table whose
+    columns it reads, before any column is read.
     """
     if n > TABLE_CAP:
         raise SizeCapError(f"congruence sweep capped at n <= {TABLE_CAP}, got {n}")
     report = VerifyReport("combine", {"n": n, "p": cfg.p, "r": cfg.r})
     rows = partitions_of(n)
-    column = cache(chi_column)
+    classes: dict[Partition, list[Partition]] = {}
     for mu in rows:
-        applicable = [m for m, a in multiplicities(mu).items() if a >= cfg.q]
-        if not applicable:
-            report.skipped += 1
-            continue
-        for m in applicable:
-            nu = combine_step(mu, m, cfg)
-            col_mu, col_nu = column(mu), column(nu)
-            for lam, x, y in zip(rows, col_mu, col_nu):
-                report.check(
-                    (x - y) % cfg.q == 0,
-                    lambda: {
-                        "lambda": format_partition(lam),
-                        "mu": format_partition(mu),
-                        "nu": format_partition(nu),
-                        "chi_mu": str(x),
-                        "chi_nu": str(y),
-                        "modulus": cfg.q,
-                    },
-                )
+        classes.setdefault(reduce_partition(mu, cfg).output, []).append(mu)
+    for members in classes.values():
+        column = cache(chi_column)
+        for mu in members:
+            applicable = [m for m, a in multiplicities(mu).items() if a >= cfg.q]
+            if not applicable:
+                report.skipped += 1
+                continue
+            for m in applicable:
+                nu = combine_step(mu, m, cfg)
+                col_mu, col_nu = column(mu), column(nu)
+                for lam, x, y in zip(rows, col_mu, col_nu):
+                    report.check(
+                        (x - y) % cfg.q == 0,
+                        lambda: {
+                            "lambda": format_partition(lam),
+                            "mu": format_partition(mu),
+                            "nu": format_partition(nu),
+                            "chi_mu": str(x),
+                            "chi_nu": str(y),
+                            "modulus": cfg.q,
+                        },
+                    )
     return report
 
 
@@ -516,8 +522,10 @@ def verify_theorem3(n: int, cfg: CombineConfig) -> VerifyReport:
     The hypothesis depends on a row only through its hook-length mask and on
     a class only through the sizes of its sum sets, so it is tested once per
     distinct mask and signature; each class then reads its column only for
-    the rows it accepts, in table order.
+    the rows it accepts, in table order; n is capped first at TABLE_CAP.
     """
+    if n > TABLE_CAP:
+        raise SizeCapError(f"theorem3 sweep capped at n <= {TABLE_CAP}, got {n}")
     report = VerifyReport("theorem3", {"n": n, "p": cfg.p, "r": cfg.r})
     rows = partitions_of(n)
     by_mask: dict[int, int] = {}  # hook-length mask -> bitset of row indices

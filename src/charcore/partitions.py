@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from itertools import accumulate, chain
 from operator import getitem, lt, sub
 from typing import Iterator, Mapping
@@ -64,13 +63,13 @@ def format_partition(parts) -> str:
     return "[" + ",".join(str(x) for x in parts) + "]"
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in reverse-lexicographic order."""
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """Every partition of n once, in reverse-lexicographic order; not cached."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
-    return _descending(n, n)
+    return tuple(_descending(n, n))
 
 
 def _descending(n: int, bound: int) -> Iterator[Partition]:
@@ -80,12 +79,6 @@ def _descending(n: int, bound: int) -> Iterator[Partition]:
     for k in range(min(bound, n), 0, -1):
         for rest in _descending(n - k, k):
             yield (k,) + rest
-
-
-@lru_cache(maxsize=None)
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, cached; same order as enumerate_partitions."""
-    return tuple(enumerate_partitions(n))
 
 
 _pcount = [1]

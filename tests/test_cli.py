@@ -394,6 +394,20 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", err)
         assert columns == []
 
+    def test_theorem3_size_is_refused_before_any_column(self, monkeypatch, capsys):
+        # verify theorem3 reads the table's columns, so it shares TABLE_CAP,
+        # and refuses before it enumerates a class
+        from charcore import cli, divisibility
+
+        columns = []
+        monkeypatch.setattr(divisibility, "chi_column", columns.append)
+        monkeypatch.setattr(divisibility, "partitions_of", columns.append)
+        argv = ["verify", "theorem3", "--n", "27", "--p", "2", "--r", "1"]
+        assert cli.main(argv) == 2
+        err = "charcore: error: theorem3 sweep capped at n <= 26, got 27\n"
+        assert capsys.readouterr() == ("", err)
+        assert columns == []
+
     @pytest.mark.parametrize(
         "n,message",
         [

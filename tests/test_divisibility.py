@@ -231,6 +231,17 @@ class TestReduce:
         assert {cfg.p**j: a for j, a in enumerate(reduced) if a} == expect
         assert len(reduced) >= len(levels)
 
+    def test_one_step_keeps_the_fixpoint(self):
+        # what lets verify combine hold one reduction class at a time
+        for cfg in THEOREM3_CFGS:
+            for n in range(19):
+                for mu in partitions_of(n):
+                    fixpoint = reduce_partition(mu, cfg).output
+                    for m, a in multiplicities(mu).items():
+                        if a >= cfg.q:
+                            nu = combine_step(mu, m, cfg)
+                            assert reduce_partition(nu, cfg).output == fixpoint
+
     def test_carry_levels_refuses_a_negative_multiplicity_at_once(self):
         # a negative count would carry -1s upward for ever
         import signal
@@ -298,6 +309,32 @@ class TestCombineCongruence:
     def test_sweep_past_sixteen(self):
         report = verify_combine_congruence(17, CombineConfig(2, 2))
         assert report.ok and report.checked > 0
+
+    def test_reads_each_column_once(self, monkeypatch):
+        calls = []
+        real = divisibility.chi_column
+
+        def counted(mu):
+            calls.append(mu)
+            return real(mu)
+
+        monkeypatch.setattr(divisibility, "chi_column", counted)
+        assert verify_combine_congruence(12, CombineConfig(2, 1)).ok
+        assert len(calls) == len(set(calls))
+
+    def test_holds_one_reduction_class_of_columns(self):
+        # at most the columns of one reduction class, never all p(20) = 627
+        import tracemalloc
+
+        cfg = CombineConfig(2, 1)
+        verify_combine_congruence(20, cfg)  # the engine caches warm
+        tracemalloc.start()
+        try:
+            verify_combine_congruence(20, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_witness_is_the_first_of_two_failures(self, monkeypatch):
         real = divisibility.chi_column

@@ -11,7 +11,6 @@ from charcore.partitions import (
     _bounded_entry,
     check_partition,
     conjugate,
-    enumerate_partitions,
     format_partition,
     from_multiplicities,
     hook_lengths,
@@ -48,10 +47,10 @@ partition_lists = st.lists(st.integers(1, 9), max_size=9).map(
 
 class TestEnumeration:
     def test_zero(self):
-        assert list(enumerate_partitions(0)) == [()]
+        assert list(partitions_of(0)) == [()]
 
     def test_four_reverse_lex(self):
-        assert list(enumerate_partitions(4)) == [
+        assert list(partitions_of(4)) == [
             (4,),
             (3, 1),
             (2, 2),
@@ -60,16 +59,16 @@ class TestEnumeration:
         ]
 
     def test_five_has_seven(self):
-        assert len(list(enumerate_partitions(5))) == 7
+        assert len(partitions_of(5)) == 7
 
     def test_order_is_reverse_lex(self):
         for n in range(11):
-            parts = list(enumerate_partitions(n))
+            parts = list(partitions_of(n))
             assert parts == sorted(parts, reverse=True)
 
     def test_matches_naive_enumeration(self):
         for n in range(13):
-            assert set(enumerate_partitions(n)) == naive_partitions(n)
+            assert set(partitions_of(n)) == naive_partitions(n)
 
     def test_count_agrees_up_to_30(self):
         for n in range(31):
@@ -77,7 +76,11 @@ class TestEnumeration:
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
-            list(enumerate_partitions(61))
+            partitions_of(61)
+
+    def test_negative_refused(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            partitions_of(-1)
 
 
 class TestCounting:
