@@ -230,27 +230,15 @@ def _aligned_runners(w1: int, w2: int, m: int):
     return r1, r2
 
 
-def _residue_skews(w1: int, w2: int, m: int) -> dict[int, tuple[Partition, Partition]]:
-    """{runner: (outer, inner)}, the partitions of its levels in w1 and in w2,
-    by runner, for the runners that hold beads; the others hold the empty skew.
-
-    Requires w2 to be reachable from w1 by m-hooks (see `_aligned_runners`).
-    """
-    r1, r2 = _aligned_runners(w1, w2, m)
-    return {
-        c: (_bead_partition(x), _bead_partition(r2[c])) for c, x in sorted(r1.items())
-    }
-
-
 def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int]]:
     """Per-residue skew diagrams between a partition and one reachable from it.
 
     Requires a2 to be reachable from a by removing hooks of length m; the
     shapes' sizes sum to the number of removed hooks.
     """
-    skews = _residue_skews(bead_mask(a), bead_mask(a2), m)
+    r1, r2 = _aligned_runners(bead_mask(a), bead_mask(a2), m)
     result = []
     for c in range(m):
-        shape = SkewShape(*skews.get(c, ((), ())))
+        shape = SkewShape(*(_bead_partition(r.get(c, [])) for r in (r1, r2)))
         result.append((shape, shape.size))
     return result

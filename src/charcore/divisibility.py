@@ -13,14 +13,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from math import factorial, isqrt, prod
+from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .abacus import (
     _aligned_runners,
     _beads,
     _partition_mask,
-    _residue_skews,
     hook_length_mask,
     is_tcore,
     mask_partition,
@@ -39,7 +38,8 @@ from .partitions import (
 from .tableaux import (
     _box_class_count,
     _box_classes,
-    _skew_count,
+    _count_rows,
+    _retrim,
     _spans_shape,
 )
 
@@ -302,26 +302,24 @@ def _crossings(runners: dict[int, list[int]]) -> int:
     ) & 1
 
 
-def _multinomial(total: int, parts: Iterable[int]) -> int:
-    out = factorial(total)
-    for s in parts:
-        out //= factorial(s)
-    return out
-
-
-def _predicted_count(w: int, w2: int, m: int, count: int, memo: dict):
+def _predicted_count(w: int, w2: int, m: int, count: int, memo: dict) -> int:
     """Ordered removals of `count` m-hooks from bead mask w down to w2, predicted.
 
-    The count factors as a multinomial over residues times the per-residue
-    filling counts, from `memo`; returns (prediction, multinomial, fillings,
-    sizes), with fillings and sizes for the runners of w that hold beads.
+    The count factors as a multinomial over the runners that hold beads times
+    each runner's filling count, from `memo`.  A runner's bead of rank i, at
+    level x_i in w and y_i in w2, spans the row [y_i - i, x_i - i) of its skew,
+    and the last bead's row is the top one.
     """
-    skews = _residue_skews(w, w2, m).values()
-    sizes = tuple(sum(outer) - sum(inner) for outer, inner in skews)
-    assert sum(sizes) == count
-    multinomial = _multinomial(count, sizes)
-    fillings = tuple(_skew_count(outer, inner, memo) for outer, inner in skews)
-    return multinomial * prod(fillings), multinomial, fillings, sizes
+    r1, r2 = _aligned_runners(w, w2, m)
+    predicted, cells = 1, 0
+    for c, xs in r1.items():
+        rows = [(y - i, x - i) for i, (x, y) in enumerate(zip(xs, r2[c]))]
+        spans = _retrim(rows[::-1])
+        k = sum(e - s for s, e in spans)
+        cells += k
+        predicted *= comb(cells, k) * _count_rows(spans, memo)
+    assert cells == count
+    return predicted
 
 
 def _hook_groups(rows: Iterable[Partition], m: int, max_hooks: int):
@@ -369,7 +367,7 @@ def verify_factorization(n: int, m: int, max_hooks: int) -> VerifyReport:
     memo: dict = {}
     for lam, w, count, level in _hook_groups(partitions_of(n), m, max_hooks):
         for w2, pair in level.items():
-            predicted = _predicted_count(w, w2, m, count, memo)[0]
+            predicted = _predicted_count(w, w2, m, count, memo)
             report.check(
                 sum(pair) == predicted,
                 lambda: {

@@ -34,15 +34,11 @@ class SkewShape:
 
     def row_spans(self) -> list[tuple[int, int]]:
         """Per row of outer, the half-open column interval [start, end) of cells."""
-        return list(_row_spans(self.outer, self.inner))
+        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
+        return list(zip(inner, self.outer))
 
     def __str__(self) -> str:
         return f"{format_partition(self.outer)}/{format_partition(self.inner)}"
-
-
-def _row_spans(outer: Partition, inner: Partition) -> tuple[tuple[int, int], ...]:
-    """Per row of outer, the span [start, end) of the cells of outer/inner."""
-    return tuple(zip(inner + (0,) * (len(outer) - len(inner)), outer))
 
 
 def is_border_strip(shape: SkewShape) -> bool:
@@ -121,12 +117,7 @@ def count_skew_syt(shape: SkewShape) -> int:
     columns.  Computed by corner-removal recursion, memoized for this call on
     the translation-canonical row spans.
     """
-    return _skew_count(shape.outer, shape.inner, {})
-
-
-def _skew_count(outer: Partition, inner: Partition, memo: dict) -> int:
-    """`count_skew_syt` of checked outer/inner, inner inside outer, through `memo`."""
-    return _count_rows(_retrim(_row_spans(outer, inner)), memo)
+    return _count_rows(_retrim(shape.row_spans()), {})
 
 
 def count_syt(shape) -> int:

@@ -666,23 +666,18 @@ def theorem3_per_pair(n, cfg):
 def predicted_count_via_shapes(lam, lam2, m, count):
     """`_predicted_count` through `Abacus` windows and `SkewShape`s.
 
-    Returns (prediction, multinomial, fillings, sizes) from
-    `skew_per_residue` and `count_skew_syt`, with fillings and sizes for the
-    residues of lam's beta-numbers, the runners that hold its beads.
+    The multinomial over the residues' sizes from `skew_per_residue` times
+    each residue's `count_skew_syt`; an empty residue contributes 1 to both.
     """
     from charcore.abacus import from_partition, skew_per_residue
     from charcore.tableaux import count_skew_syt
 
-    held = {(part + k) % m for k, part in enumerate(reversed(lam))}
     skews = skew_per_residue(from_partition(lam), from_partition(lam2), m)
-    skews = [skew for c, skew in enumerate(skews) if c in held]
-    sizes = tuple(size for _, size in skews)
-    assert sum(sizes) == count
+    assert sum(size for _, size in skews) == count
     multinomial = factorial(count)
-    for size in sizes:
+    for _, size in skews:
         multinomial //= factorial(size)
-    fillings = tuple(count_skew_syt(shape) for shape, _ in skews)
-    return multinomial * prod(fillings), multinomial, fillings, sizes
+    return multinomial * prod(count_skew_syt(shape) for shape, _ in skews)
 
 
 def lemma62_per_row(n, m, cfg):

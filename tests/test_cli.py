@@ -655,6 +655,10 @@ FROZEN_OUTPUTS = [
         ("verify", "prop-pm1", "--n", "18", "--m", "2", "--p", "3", "--r", "2"),
         "d5c53f25a247210ff931a098d15f16e50d1fa8da7c24a1db7a0d525ad874adaf",
     ),
+    (
+        ("verify", "factorization", "--n", "20", "--m", "3", "--hooks", "6"),
+        "1ca8d60a8886be9fead95cbf730b8e18526b3dba48887b4fb54722b564ef651b",
+    ),
 ]
 
 
@@ -740,7 +744,8 @@ class TestDeterminism:
         # hook-sequence counts of four removals per row the next two, and the
         # lemma81 sweep on canonical row spans the next seven, the last of them
         # a box where most classes split into components; then combine at
-        # n = 16 and theorem3 and prop-pm1 at p = 3
+        # n = 16, theorem3 and prop-pm1 at p = 3, and 9,557 factorization
+        # checks whose skews spread over three runners
         res = run_cli(*args)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

@@ -496,7 +496,7 @@ class TestEpsilon:
         start = time.process_time()
         assert epsilon((5, 3, 1), (5, 3, 1), m) == 1
         w, w2 = _partition_mask((m + 2, 1)), _partition_mask((2, 1))
-        assert divisibility._predicted_count(w, w2, m, 1, {})[0] == 1
+        assert divisibility._predicted_count(w, w2, m, 1, {}) == 1
         assert time.process_time() - start < 0.1
 
 
@@ -531,8 +531,7 @@ class TestFactorization:
         # one 3-hook of [2,2] leaves [1]; its four boxes come off in 2 orders
         for lam2, m, count, direct in (((1,), 3, 1, 1), ((), 1, 4, 2)):
             w, w2 = _partition_mask((2, 2)), _partition_mask(lam2)
-            got = divisibility._predicted_count(w, w2, m, count, {})
-            assert got[:2] == (direct, 1)  # (prediction, multinomial)
+            assert divisibility._predicted_count(w, w2, m, count, {}) == direct
             assert sum(enumerate_hook_sequences((2, 2), m, count)[lam2]) == direct
 
     def test_sweep(self):
@@ -551,13 +550,24 @@ class TestFactorization:
                     lam2 = mask_partition(w2)
                     assert got == predicted_count_via_shapes(lam, lam2, m, count)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(13, 24), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_prediction_above_the_exhaustive_range(self, n, m, hooks, data):
+        lam = data.draw(st.sampled_from(partitions_of(n)))
+        memo: dict = {}
+        for _, w, count, level in divisibility._hook_groups((lam,), m, hooks):
+            for w2, pair in level.items():
+                lam2 = mask_partition(w2)
+                want = predicted_count_via_shapes(lam, lam2, m, count)
+                got = divisibility._predicted_count(w, w2, m, count, memo)
+                assert got == sum(pair) == want
+
     def test_witness_is_the_first_of_two_failures(self, monkeypatch):
         real = divisibility._predicted_count
 
         def one_more_at_three(w, w2, m, count, memo):
             # [4] and [3,1] each reach [3]
-            predicted, *rest = real(w, w2, m, count, memo)
-            return predicted + (w2 == _partition_mask((3,))), *rest
+            return real(w, w2, m, count, memo) + (w2 == _partition_mask((3,)))
 
         monkeypatch.setattr(divisibility, "_predicted_count", one_more_at_three)
         report = verify_factorization(4, 1, 1)

@@ -320,6 +320,56 @@ def test_only_the_hook_walk_scans_strips_in_divisibility():
     assert not scanning, f"divisibility functions that call strip_removals: {scanning}"
 
 
+def _witness_lambdas(tree):
+    """Every lambda handed to a `.check` call: a verifier's witness."""
+    return {
+        id(arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check"
+        for arg in node.args
+        if isinstance(arg, ast.Lambda)
+    }
+
+
+def _reads_outside(node, name, skipped):
+    """Line of every read of the plain name `name` under node, outside `skipped`."""
+    if id(node) in skipped:
+        return
+    if isinstance(node, ast.Name) and node.id == name:
+        yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _reads_outside(child, name, skipped)
+
+
+def test_witness_finder_skips_only_checked_lambdas():
+    tree = ast.parse(
+        """
+def sweep(report, w):
+    report.check(True, lambda: decode(w))
+    report.check(True, {"x": decode(w)})
+    return (lambda: decode(w))()
+"""
+    )
+    lines = list(_reads_outside(tree, "decode", _witness_lambdas(tree)))
+    assert lines == [4, 5]
+
+
+def test_divisibility_sweeps_stay_on_masks_and_runner_levels():
+    # a target mask is decoded to a partition only for a witness, or for the
+    # caller of enumerate_hook_sequences, which asks for partitions
+    tree = TREES["divisibility.py"]
+    witnesses = _witness_lambdas(tree)
+    decoding = [
+        (node.name, line)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name != "enumerate_hook_sequences"
+        for line in _reads_outside(node, "mask_partition", witnesses)
+    ]
+    assert not decoding, f"divisibility functions that decode a mask: {decoding}"
+    imported = {name for name, _ in _imported(tree)}
+    assert "_bead_partition" not in imported, "divisibility imports _bead_partition"
+
+
 CACHE_DECORATORS = {"cache", "lru_cache"}
 MUTATORS = {"append", "extend", "insert", "setdefault", "update", "pop", "clear", "add"}
 
