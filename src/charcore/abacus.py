@@ -207,8 +207,19 @@ def tcore(parts, t: int) -> Partition:
     )
 
 
-def _aligned_runners(w1: int, w2: int, m: int):
-    """Runner levels of two bead masks in one index frame, w2 given as many beads as w1.
+def _split(w: int, m: int) -> tuple[int, dict[int, list[int]]]:
+    """A bead mask made canonical, and its levels on the m runners that hold
+    beads (`_runners`): the half of `_aligned_runners` that a sweep does once
+    per row, not once per target."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    w = _trim(w)
+    return w, _runners(_beads(w), m)
+
+
+def _aligned_runners(split: tuple[int, dict[int, list[int]]], w2: int, m: int):
+    """Runner levels of bead mask w2 in the index frame of the split mask w1,
+    w2 given as many beads as w1.
 
     Removing m-hooks keeps every bead on its runner and at its rank there and
     only moves beads down, so w2 is reachable from w1 iff every runner holds as
@@ -216,18 +227,17 @@ def _aligned_runners(w1: int, w2: int, m: int):
     in w1; raises UnreachableError otherwise.  Only the runners that hold
     beads are kept (`_runners`), so the cost does not grow with m.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    w1, w2 = _trim(w1), _trim(w2)
+    w1, r1 = split
+    w2 = _trim(w2)
     # leading beads that give w2 as many as w1; if w2 has more, a runner count differs
     shift = max(0, w1.bit_count() - w2.bit_count())
-    r1, r2 = _runners(_beads(w1), m), _runners(_beads(((w2 + 1) << shift) - 1), m)
+    r2 = _runners(_beads(((w2 + 1) << shift) - 1), m)
     if r1.keys() != r2.keys() or any(
         len(x) != len(r2[c]) or any(map(gt, r2[c], x)) for c, x in r1.items()
     ):
         a, a2 = _window(w1), _window(w2)
         raise UnreachableError(f"{a2} is not reachable from {a} by {m}-hooks")
-    return r1, r2
+    return r2
 
 
 def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int]]:
@@ -236,7 +246,8 @@ def skew_per_residue(a: Abacus, a2: Abacus, m: int) -> list[tuple[SkewShape, int
     Requires a2 to be reachable from a by removing hooks of length m; the
     shapes' sizes sum to the number of removed hooks.
     """
-    r1, r2 = _aligned_runners(bead_mask(a), bead_mask(a2), m)
+    split = _split(bead_mask(a), m)
+    r1, r2 = split[1], _aligned_runners(split, bead_mask(a2), m)
     result = []
     for c in range(m):
         shape = SkewShape(*(_bead_partition(r.get(c, [])) for r in (r1, r2)))

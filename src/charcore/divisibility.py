@@ -20,6 +20,7 @@ from .abacus import (
     _aligned_runners,
     _beads,
     _partition_mask,
+    _split,
     hook_length_mask,
     is_tcore,
     mask_partition,
@@ -278,13 +279,13 @@ def epsilon(lam, lam2, m: int) -> int:
     order rank differently.  Raises UnreachableError when no sequence exists.
     """
     lam, lam2 = check_partition(lam), check_partition(lam2)
-    return _epsilon(_partition_mask(lam), _partition_mask(lam2), m)
+    split = _split(_partition_mask(lam), m)
+    return _epsilon(split, _crossings(split[1]), _partition_mask(lam2), m)
 
 
-def _epsilon(w: int, w2: int, m: int) -> int:
-    """`epsilon` on bead masks."""
-    r1, r2 = _aligned_runners(w, w2, m)
-    return -1 if _crossings(r1) ^ _crossings(r2) else 1
+def _epsilon(split: tuple, parity: int, w2: int, m: int) -> int:
+    """`epsilon` on lam's `_split` and `_crossings` parity and lam2's bead mask."""
+    return -1 if parity ^ _crossings(_aligned_runners(split, w2, m)) else 1
 
 
 def _crossings(runners: dict[int, list[int]]) -> int:
@@ -302,18 +303,23 @@ def _crossings(runners: dict[int, list[int]]) -> int:
     ) & 1
 
 
-def _predicted_count(w: int, w2: int, m: int, count: int, memo: dict) -> int:
-    """Ordered removals of `count` m-hooks from bead mask w down to w2, predicted.
+def _predicted_count(split: tuple, w2: int, m: int, count: int, memo: dict) -> int:
+    """Ordered removals of `count` m-hooks from the `_split` mask w down to w2,
+    predicted.
 
     The count factors as a multinomial over the runners that hold beads times
     each runner's filling count, from `memo`.  A runner's bead of rank i, at
     level x_i in w and y_i in w2, spans the row [y_i - i, x_i - i) of its skew,
-    and the last bead's row is the top one.
+    and the last bead's row is the top one.  A runner whose levels did not
+    move has no cell and a factor of 1, and is passed over.
     """
-    r1, r2 = _aligned_runners(w, w2, m)
+    r2 = _aligned_runners(split, w2, m)
     predicted, cells = 1, 0
-    for c, xs in r1.items():
-        rows = [(y - i, x - i) for i, (x, y) in enumerate(zip(xs, r2[c]))]
+    for c, xs in split[1].items():
+        ys = r2[c]
+        if xs == ys:
+            continue
+        rows = [(y - i, x - i) for i, (x, y) in enumerate(zip(xs, ys))]
         spans = _retrim(rows[::-1])
         k = sum(e - s for s, e in spans)
         cells += k
@@ -323,11 +329,13 @@ def _predicted_count(w: int, w2: int, m: int, count: int, memo: dict) -> int:
 
 
 def _hook_groups(rows: Iterable[Partition], m: int, max_hooks: int):
-    """(lam, its bead mask, count, {target mask: (even, odd)}) per row and count
-    up to max_hooks, in one walk per row: each level is reached from the last."""
+    """(lam, its `_split` modulo m, count, {target mask: (even, odd)}) per row and
+    count up to max_hooks, in one walk per row: each level is reached from the
+    last, and one split of the row serves the targets of every level."""
     _check_m(m)
     for lam in rows:
         w = _partition_mask(lam)
+        split = _split(w, m)
         level = {w: (1, 0)}
         for count in range(1, min(max_hooks, sum(lam) // m) + 1):
             reached: dict[int, tuple[int, int]] = {}
@@ -337,7 +345,7 @@ def _hook_groups(rows: Iterable[Partition], m: int, max_hooks: int):
                     e, o = reached.get(smaller, (0, 0))
                     reached[smaller] = (e + even, o + odd)
             level = reached
-            yield lam, w, count, level
+            yield lam, split, count, level
 
 
 def verify_lemma61(n: int, m: int, max_hooks: int) -> VerifyReport:
@@ -346,11 +354,13 @@ def verify_lemma61(n: int, m: int, max_hooks: int) -> VerifyReport:
     Also cross-checks the sign `epsilon` computes against each group.
     """
     report = VerifyReport("lemma61", {"n": n, "m": m, "max_hooks": max_hooks})
-    for lam, w, _, level in _hook_groups(partitions_of(n), m, max_hooks):
+    for lam, split, count, level in _hook_groups(partitions_of(n), m, max_hooks):
+        if count == 1:  # the row's first level: read its crossing parity once
+            parity = _crossings(split[1])
         for w2, (even, odd) in level.items():
             signs = [-1] * bool(odd) + [1] * bool(even)
             report.check(
-                len(signs) == 1 and _epsilon(w, w2, m) in signs,
+                len(signs) == 1 and _epsilon(split, parity, w2, m) in signs,
                 lambda: {
                     "lambda": format_partition(lam),
                     "lambda2": format_partition(mask_partition(w2)),
@@ -365,9 +375,9 @@ def verify_factorization(n: int, m: int, max_hooks: int) -> VerifyReport:
     """Exhaust the counting identity over all reachable pairs at size n."""
     report = VerifyReport("factorization", {"n": n, "m": m, "max_hooks": max_hooks})
     memo: dict = {}
-    for lam, w, count, level in _hook_groups(partitions_of(n), m, max_hooks):
+    for lam, split, count, level in _hook_groups(partitions_of(n), m, max_hooks):
         for w2, pair in level.items():
-            predicted = _predicted_count(w, w2, m, count, memo)
+            predicted = _predicted_count(split, w2, m, count, memo)
             report.check(
                 sum(pair) == predicted,
                 lambda: {

@@ -11,7 +11,7 @@ import random
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from operator import getitem, lt, sub
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import FormatError, SizeCapError
 
@@ -27,6 +27,11 @@ def check_partition(parts) -> Partition:
     A part must equal its int: 3.0 is read as 3, but 2.5 is refused, not cut.
     """
     parts = tuple(parts)
+    # exact ints, weakly decreasing, with a positive last part: valid as given
+    if {*map(type, parts)} <= {int} and (
+        not parts or (parts[-1] > 0 and sorted(parts, reverse=True) == [*parts])
+    ):
+        return parts
     out = tuple(map(int, parts))
     # an integral, weakly decreasing tuple whose last part is positive is valid
     if out != parts or (out and (out[-1] < 1 or any(map(lt, out, out[1:])))):
@@ -64,21 +69,37 @@ def format_partition(parts) -> str:
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """Every partition of n once, in reverse-lexicographic order; not cached."""
+    """Every partition of n once, in reverse-lexicographic order; not cached.
+
+    Zoghbi and Stojmenovic's ZS1 walk on one list x whose parts past index h
+    are 1s: the next partition lowers x[h] by one and spreads the rest of
+    x[h:] into copies of the new x[h] and one smaller remainder; each
+    partition is one slice of x.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
-    return tuple(_descending(n, n))
-
-
-def _descending(n: int, bound: int) -> Iterator[Partition]:
     if n == 0:
-        yield ()
-        return
-    for k in range(min(bound, n), 0, -1):
-        for rest in _descending(n - k, k):
-            yield (k,) + rest
+        return ((),)
+    x = [n] + [1] * (n - 1)
+    last = h = 0  # the index of the last part, and of the last part above 1
+    out = [(n,)]
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h], last, h = 1, last + 1, h - 1
+        else:
+            r, t = x[h] - 1, last - h + 1  # t: what x[h..last] holds besides r
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h], t = r, t - r
+            last = h + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        out.append(tuple(x[: last + 1]))
+    return tuple(out)
 
 
 _pcount = [1]

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, prod
+from operator import lt
 from typing import NamedTuple
 
 import mpmath
@@ -258,6 +259,34 @@ def aitken_count(outer, inner):
     value = _fraction_det(matrix) * factorial(n)
     assert value.denominator == 1
     return int(value)
+
+
+def descending_partitions(n, bound=None):
+    """Every partition of n with parts at most `bound` (default n), in
+    reverse-lexicographic order: each largest part k from the top down, then
+    the partitions of n - k with parts at most k."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n if bound is None else bound, n), 0, -1):
+        for rest in descending_partitions(n - k, k):
+            yield (k,) + rest
+
+
+def check_partition_in_one_pass(parts):
+    """`check_partition` without its fast path: every part through `int`, one
+    pairwise pass, and the first fault worded."""
+    parts = tuple(parts)
+    out = tuple(map(int, parts))
+    if out != parts or (out and (out[-1] < 1 or any(map(lt, out, out[1:])))):
+        for i, x in enumerate(out):
+            if x != parts[i]:
+                raise ValueError(f"parts must be positive integers, got {parts[i]!r}")
+            if x < 1:
+                raise ValueError(f"parts must be positive integers, got {x}")
+            if i > 0 and out[i - 1] < x:
+                raise ValueError(f"parts must be weakly decreasing, got {out}")
+    return out
 
 
 def naive_partitions(n):

@@ -8,6 +8,7 @@ from charcore.abacus import (
     _aligned_runners,
     _conjugate_mask,
     _partition_mask,
+    _split,
     bead_mask,
     from_partition,
     hook_length_mask,
@@ -386,5 +387,6 @@ class TestSkewPerResidue:
 
     def test_aligned_windows_charge(self):
         a, b = from_partition((1,)), from_partition(())
-        r1, r2 = _aligned_runners(bead_mask(a), bead_mask(b), 1)
+        split = _split(bead_mask(a), 1)
+        r1, r2 = split[1], _aligned_runners(split, bead_mask(b), 1)
         assert sum(map(len, r1.values())) == sum(map(len, r2.values()))

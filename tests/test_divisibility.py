@@ -5,12 +5,14 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import charcore.abacus as abacus
 import charcore.characters as characters
 import charcore.divisibility as divisibility
 import oracles
 from charcore.abacus import (
     _beads,
     _partition_mask,
+    _split,
     bead_mask,
     from_partition,
     hook_length_mask,
@@ -445,6 +447,24 @@ def test_each_row_is_walked_once(name, monkeypatch):
     assert len(calls) == scans
 
 
+@pytest.mark.parametrize("sweep", [verify_factorization, verify_lemma61])
+def test_each_row_is_split_once(sweep, monkeypatch):
+    # lam's runners once per row and each target's once, not lam's per target
+    n, m, hooks = 10, 2, 3
+    rows = partitions_of(n)
+    targets = sum(len(level) for *_, level in divisibility._hook_groups(rows, m, hooks))
+    assert targets > len(rows)
+    calls, real = [], abacus._runners
+
+    def spy(beads, m):
+        calls.append(beads)
+        return real(beads, m)
+
+    monkeypatch.setattr(abacus, "_runners", spy)
+    assert sweep(n, m, hooks).ok
+    assert len(calls) == len(rows) + targets
+
+
 class TestEpsilon:
     def test_identity(self):
         assert epsilon((3, 1), (3, 1), 2) == 1
@@ -495,8 +515,8 @@ class TestEpsilon:
         m = 10**6
         start = time.process_time()
         assert epsilon((5, 3, 1), (5, 3, 1), m) == 1
-        w, w2 = _partition_mask((m + 2, 1)), _partition_mask((2, 1))
-        assert divisibility._predicted_count(w, w2, m, 1, {}) == 1
+        split, w2 = _split(_partition_mask((m + 2, 1)), m), _partition_mask((2, 1))
+        assert divisibility._predicted_count(split, w2, m, 1, {}) == 1
         assert time.process_time() - start < 0.1
 
 
@@ -505,10 +525,10 @@ class TestLemma61:
         walk = divisibility._hook_groups
 
         def mixed(rows, m, max_hooks):
-            for lam, w, count, level in walk(rows, m, max_hooks):
+            for lam, split, count, level in walk(rows, m, max_hooks):
                 if lam == (2, 2):
                     level[_partition_mask((2, 1))] = (1, 1)
-                yield lam, w, count, level
+                yield lam, split, count, level
 
         monkeypatch.setattr(divisibility, "_hook_groups", mixed)
         report = verify_lemma61(4, 1, 1)
@@ -518,7 +538,7 @@ class TestLemma61:
         }
 
     def test_a_sign_other_than_epsilon_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(divisibility, "_epsilon", lambda w, w2, m: -1)
+        monkeypatch.setattr(divisibility, "_epsilon", lambda split, parity, w2, m: -1)
         report = verify_lemma61(4, 1, 1)
         assert (report.checked, report.violated) == (0, 7)
         assert report.witness == {
@@ -530,8 +550,8 @@ class TestFactorization:
     def test_worked_examples(self):
         # one 3-hook of [2,2] leaves [1]; its four boxes come off in 2 orders
         for lam2, m, count, direct in (((1,), 3, 1, 1), ((), 1, 4, 2)):
-            w, w2 = _partition_mask((2, 2)), _partition_mask(lam2)
-            assert divisibility._predicted_count(w, w2, m, count, {}) == direct
+            split, w2 = _split(_partition_mask((2, 2)), m), _partition_mask(lam2)
+            assert divisibility._predicted_count(split, w2, m, count, {}) == direct
             assert sum(enumerate_hook_sequences((2, 2), m, count)[lam2]) == direct
 
     def test_sweep(self):
@@ -542,11 +562,11 @@ class TestFactorization:
 
     def test_prediction_matches_the_shape_oracle(self):
         for n, m in product(range(1, 13), (1, 2, 3)):
-            for lam, w, count, level in divisibility._hook_groups(
+            for lam, split, count, level in divisibility._hook_groups(
                 partitions_of(n), m, 4
             ):
                 for w2 in level:
-                    got = divisibility._predicted_count(w, w2, m, count, {})
+                    got = divisibility._predicted_count(split, w2, m, count, {})
                     lam2 = mask_partition(w2)
                     assert got == predicted_count_via_shapes(lam, lam2, m, count)
 
@@ -555,19 +575,19 @@ class TestFactorization:
     def test_prediction_above_the_exhaustive_range(self, n, m, hooks, data):
         lam = data.draw(st.sampled_from(partitions_of(n)))
         memo: dict = {}
-        for _, w, count, level in divisibility._hook_groups((lam,), m, hooks):
+        for _, split, count, level in divisibility._hook_groups((lam,), m, hooks):
             for w2, pair in level.items():
                 lam2 = mask_partition(w2)
                 want = predicted_count_via_shapes(lam, lam2, m, count)
-                got = divisibility._predicted_count(w, w2, m, count, memo)
+                got = divisibility._predicted_count(split, w2, m, count, memo)
                 assert got == sum(pair) == want
 
     def test_witness_is_the_first_of_two_failures(self, monkeypatch):
         real = divisibility._predicted_count
 
-        def one_more_at_three(w, w2, m, count, memo):
+        def one_more_at_three(split, w2, m, count, memo):
             # [4] and [3,1] each reach [3]
-            return real(w, w2, m, count, memo) + (w2 == _partition_mask((3,)))
+            return real(split, w2, m, count, memo) + (w2 == _partition_mask((3,)))
 
         monkeypatch.setattr(divisibility, "_predicted_count", one_more_at_three)
         report = verify_factorization(4, 1, 1)

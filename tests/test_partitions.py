@@ -21,7 +21,13 @@ from charcore.partitions import (
     sample_seed,
     sample_uniform,
 )
-from oracles import bounded_counts_reference, linear_scan_sample, naive_partitions
+from oracles import (
+    bounded_counts_reference,
+    check_partition_in_one_pass,
+    descending_partitions,
+    linear_scan_sample,
+    naive_partitions,
+)
 
 
 @pytest.fixture
@@ -70,8 +76,12 @@ class TestEnumeration:
         for n in range(13):
             assert set(partitions_of(n)) == naive_partitions(n)
 
-    def test_count_agrees_up_to_30(self):
+    def test_matches_the_recursive_order_up_to_30(self):
         for n in range(31):
+            assert partitions_of(n) == tuple(descending_partitions(n))
+
+    def test_count_agrees_up_to_45(self):
+        for n in range(46):
             assert len(partitions_of(n)) == partition_count(n)
 
     def test_cap(self):
@@ -207,6 +217,33 @@ class TestMultiplicities:
         with pytest.raises(ValueError) as exc:
             check_partition(parts)
         assert str(exc.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-2, 6),
+                st.sampled_from([3.0, 2.5, 0.0, True, False]),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_check_partition_matches_the_one_pass_check(self, parts, ordered, as_list):
+        if ordered:
+            parts.sort(key=float, reverse=True)
+        parts = parts if as_list else tuple(parts)
+        try:
+            want = check_partition_in_one_pass(parts)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                check_partition(parts)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        else:
+            got = check_partition(parts)
+            assert got == want
+            assert [type(x) for x in got] == [int] * len(got)
 
     def test_validation(self):
         with pytest.raises(ValueError):
