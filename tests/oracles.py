@@ -261,14 +261,14 @@ def aitken_count(outer, inner):
     return int(value)
 
 
-def descending_partitions(n, bound=None):
-    """Every partition of n with parts at most `bound` (default n), in
-    reverse-lexicographic order: each largest part k from the top down, then
-    the partitions of n - k with parts at most k."""
+def descending_partitions(n, bound):
+    """Every partition of n with parts at most `bound`, in reverse-lexicographic
+    order: each largest part k from the top down, then the partitions of n - k
+    with parts at most k."""
     if n == 0:
         yield ()
         return
-    for k in range(min(n if bound is None else bound, n), 0, -1):
+    for k in range(min(bound, n), 0, -1):
         for rest in descending_partitions(n - k, k):
             yield (k,) + rest
 

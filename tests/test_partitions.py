@@ -78,7 +78,7 @@ class TestEnumeration:
 
     def test_matches_the_recursive_order_up_to_30(self):
         for n in range(31):
-            assert partitions_of(n) == tuple(descending_partitions(n))
+            assert partitions_of(n) == tuple(descending_partitions(n, n))
 
     def test_count_agrees_up_to_45(self):
         for n in range(46):
